@@ -1,19 +1,14 @@
-//! Criterion micro-benchmarks for the LLM substrate: analytic latency queries and the
-//! continuous-batching engine serving a small burst.
+//! Criterion micro-benchmarks for the LLM substrate's analytic latency queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_sim::config::InstanceConfig;
-use llm_sim::engine::InstanceEngine;
 use llm_sim::hardware::GpuHardware;
 use llm_sim::perf::PerfModel;
-use llm_sim::request::{RequestGenerator, RequestShape};
-use simkit::time::SimTime;
 use std::hint::black_box;
 
-fn bench_llm_engine(c: &mut Criterion) {
-    let gpu = GpuHardware::a100();
+fn bench_perf_model(c: &mut Criterion) {
     let config = InstanceConfig::default_70b();
-    let perf = PerfModel::new(gpu);
+    let perf = PerfModel::new(GpuHardware::a100());
 
     c.bench_function("perf_goodput_eval", |b| {
         b.iter(|| perf.goodput_tokens_per_s(black_box(&config)))
@@ -21,22 +16,11 @@ fn bench_llm_engine(c: &mut Criterion) {
     c.bench_function("perf_decode_step_eval", |b| {
         b.iter(|| perf.decode_step_time_s(black_box(&config), 32, 900))
     });
-
-    c.bench_function("engine_serve_64_requests", |b| {
-        b.iter(|| {
-            let mut engine = InstanceEngine::new(config, &gpu);
-            let mut generator = RequestGenerator::new(RequestShape::default(), 20, 7);
-            for _ in 0..64 {
-                engine.submit(generator.generate(SimTime::ZERO));
-            }
-            black_box(engine.run_for(30.0))
-        })
-    });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_llm_engine
+    targets = bench_perf_model
 }
 criterion_main!(benches);

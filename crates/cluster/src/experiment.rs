@@ -641,6 +641,14 @@ impl FleetConfig {
         if self.arrival_scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ScenarioError::NonPositiveArrivalScale { scale: self.arrival_scale });
         }
+        if self.base.step.is_zero() {
+            return Err(ScenarioError::ZeroStep);
+        }
+        if let Some(fabric) = &self.base.request_fabric {
+            if !(fabric.rate_scale.is_finite() && fabric.rate_scale >= 0.0) {
+                return Err(ScenarioError::InvalidRateScale { scale: fabric.rate_scale });
+            }
+        }
         if let GeoPolicy::Pinned(site) = self.geo {
             if site >= self.sites.len() {
                 return Err(ScenarioError::PinnedSiteOutOfRange {
@@ -921,6 +929,31 @@ mod tests {
         fleet.check().expect("one positive share is enough");
         fleet.sites[1].arrival_share = 0.0;
         assert_eq!(fleet.check().unwrap_err(), ScenarioError::NoPositiveArrivalShare);
+    }
+
+    #[test]
+    fn zero_step_fails_fleet_validation() {
+        let mut fleet = FleetConfig::single_site(ExperimentConfig::small_smoke_test());
+        fleet.base.step = SimDuration::ZERO;
+        let error = fleet.check().unwrap_err();
+        assert_eq!(error, ScenarioError::ZeroStep);
+        assert!(error.to_string().contains("non-zero"));
+    }
+
+    #[test]
+    fn nan_or_negative_rate_scale_fails_fleet_validation() {
+        let mut fleet = FleetConfig::single_site(ExperimentConfig::small_smoke_test());
+        for scale in [f64::NAN, -0.5, f64::INFINITY] {
+            fleet.base.request_fabric =
+                Some(RequestFabricConfig { rate_scale: scale, ..RequestFabricConfig::default() });
+            assert!(matches!(
+                fleet.check().unwrap_err(),
+                ScenarioError::InvalidRateScale { scale: s } if s.to_bits() == scale.to_bits()
+            ));
+        }
+        fleet.base.request_fabric =
+            Some(RequestFabricConfig { rate_scale: 0.0, ..RequestFabricConfig::default() });
+        fleet.check().expect("a zero rate scale switches traffic off but is valid");
     }
 
     #[test]

@@ -180,6 +180,34 @@ fn clamp_total(prompt: usize, output: usize, max_total: usize) -> (usize, usize)
     (prompt, output)
 }
 
+/// Validates a parsed request trace against a catalog of `endpoints` endpoints, then
+/// enqueues every record as a [`FabricRequest`] whose id is its line ordinal. Nothing is
+/// enqueued if any record names an endpoint outside the catalog.
+///
+/// # Errors
+/// Returns the first out-of-catalog endpoint as [`TraceError::UnknownEndpoint`].
+pub(crate) fn enqueue_trace(
+    queue: &mut EventQueue<FabricRequest>,
+    endpoints: usize,
+    records: &[TraceRecord],
+) -> Result<(), TraceError> {
+    if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints as u64) {
+        return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
+    }
+    for (line, record) in records.iter().enumerate() {
+        queue.push(
+            record.timestamp_ms,
+            FabricRequest {
+                id: line as u64,
+                endpoint: record.endpoint as u32,
+                prompt_tokens: record.prompt_tokens,
+                output_tokens: record.output_tokens,
+            },
+        );
+    }
+    Ok(())
+}
+
 /// One site's serving side of the request fabric: the inbox event queue, one batch
 /// scheduler per endpoint, and the per-request metrics block.
 #[derive(Debug, Clone)]
@@ -270,22 +298,7 @@ impl RequestFabric {
     /// # Errors
     /// Returns the first out-of-catalog endpoint as a typed error.
     pub fn load_trace(&mut self, records: &[TraceRecord]) -> Result<(), TraceError> {
-        let endpoints = self.schedulers.len() as u64;
-        if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints) {
-            return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
-        }
-        for (line, record) in records.iter().enumerate() {
-            self.queue.push(
-                record.timestamp_ms,
-                FabricRequest {
-                    id: line as u64,
-                    endpoint: record.endpoint as u32,
-                    prompt_tokens: record.prompt_tokens,
-                    output_tokens: record.output_tokens,
-                },
-            );
-        }
-        Ok(())
+        enqueue_trace(&mut self.queue, self.schedulers.len(), records)
     }
 
     /// Delivers one fleet-routed request into the site's inbox.

@@ -24,7 +24,7 @@
 //! allocation-free per the dense-telemetry contract.
 
 use crate::experiment::{FleetConfig, GeoPolicy, RequestFabricConfig};
-use crate::fabric::{FabricGenerator, FabricRequest, MS_PER_MINUTE};
+use crate::fabric::{enqueue_trace, FabricGenerator, FabricRequest, MS_PER_MINUTE};
 use crate::metrics::{FleetReport, RunReport};
 use crate::scenario::ResolvedTimeline;
 use crate::simulator::ClusterSimulator;
@@ -138,23 +138,10 @@ impl FleetSimulator {
         if config.base.request_fabric.is_none() {
             config.base.request_fabric = Some(RequestFabricConfig::default());
         }
-        let endpoints = config.base.endpoint_catalog().len() as u64;
-        if let Some(bad) = records.iter().find(|r| r.endpoint >= endpoints) {
-            return Err(TraceError::UnknownEndpoint { endpoint: bad.endpoint });
-        }
+        let endpoints = config.base.endpoint_catalog().len();
         let mut fleet = Self::new(config);
         fleet.fabric_generator = None;
-        for (line, record) in records.iter().enumerate() {
-            fleet.fabric_queue.push(
-                record.timestamp_ms,
-                FabricRequest {
-                    id: line as u64,
-                    endpoint: record.endpoint as u32,
-                    prompt_tokens: record.prompt_tokens,
-                    output_tokens: record.output_tokens,
-                },
-            );
-        }
+        enqueue_trace(&mut fleet.fabric_queue, endpoints, records)?;
         Ok(fleet)
     }
 

@@ -256,6 +256,13 @@ pub enum ScenarioError {
     },
     /// Every round-robin arrival share is zero.
     NoPositiveArrivalShare,
+    /// The base experiment's step is zero, so the simulation clock could never advance.
+    ZeroStep,
+    /// The request fabric's rate scale is negative or non-finite.
+    InvalidRateScale {
+        /// The offending scale.
+        scale: f64,
+    },
     /// An event targets a site ordinal outside the fleet.
     SiteOutOfRange {
         /// Index of the offending event in the timeline.
@@ -332,6 +339,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::NoPositiveArrivalShare => {
                 write!(f, "at least one site must have a positive arrival share")
             }
+            ScenarioError::ZeroStep => write!(f, "the simulation step must be non-zero"),
+            ScenarioError::InvalidRateScale { scale } => write!(
+                f,
+                "request fabric rate scale must be finite and non-negative, got {scale}"
+            ),
             ScenarioError::SiteOutOfRange { event, site, sites } => write!(
                 f,
                 "event {event} targets site {site}, out of range for a {sites}-site fleet"

@@ -74,8 +74,8 @@ struct EndpointPool {
     in_transition: Vec<bool>,
     recent: Vec<RecentWindow>,
     config: Vec<InstanceConfig>,
-    /// Profiled goodput of `config` (NaN when the configuration was not in the sweep).
-    goodput: Vec<f64>,
+    /// Profiled goodput of `config` (`None` when the configuration was not in the sweep).
+    goodput: Vec<Option<f64>>,
     /// Saturated per-GPU utilization of `config`'s decode phase.
     sat_util: Vec<f64>,
     /// Memory-boundedness of `config`'s decode phase.
@@ -240,16 +240,16 @@ impl InstanceRegistry {
 }
 
 /// Cached profile figures for a configuration: `(goodput, saturated GPU utilization,
-/// memory boundedness)`. Goodput is NaN when the configuration was not profiled so call
-/// sites can apply their own fallback.
-fn profile_figures(profiles: &ProfileStore, config: &InstanceConfig) -> (f64, f64, f64) {
+/// memory boundedness)`. Goodput is `None` when the configuration was not profiled so
+/// call sites can apply their own fallback.
+fn profile_figures(profiles: &ProfileStore, config: &InstanceConfig) -> (Option<f64>, f64, f64) {
     match profiles.profile_for(config) {
         Some(profile) => (
-            profile.goodput_tokens_per_s,
+            Some(profile.goodput_tokens_per_s),
             profile.decode.gpu_utilization,
             profile.decode.memory_boundedness,
         ),
-        None => (f64::NAN, 0.6, 0.7),
+        None => (None, 0.6, 0.7),
     }
 }
 
@@ -749,11 +749,7 @@ impl ClusterSimulator {
                 // outstanding count and the utilization the quantum will cause).
                 pool.offered[index] += requests_per_quantum;
                 pool.outstanding[index] += requests_per_quantum.ceil() as u32;
-                let goodput = if pool.goodput[index].is_nan() {
-                    FALLBACK_GOODPUT
-                } else {
-                    pool.goodput[index]
-                };
+                let goodput = pool.goodput[index].unwrap_or(FALLBACK_GOODPUT);
                 let capacity =
                     (goodput * step_seconds / MEAN_TOKENS_PER_REQUEST).max(1.0);
                 pool.utilization[index] =
@@ -777,12 +773,7 @@ impl ClusterSimulator {
             for i in 0..pool.len() {
                 let offered = pool.offered[i];
                 let offered_tokens_per_s = offered * MEAN_TOKENS_PER_REQUEST / step_seconds;
-                let goodput = if pool.goodput[i].is_nan() {
-                    1.0
-                } else {
-                    pool.goodput[i]
-                }
-                .max(1.0);
+                let goodput = pool.goodput[i].unwrap_or(1.0).max(1.0);
                 let in_transition = pool.in_transition[i];
                 // A hardware-throttled server serves proportionally fewer tokens: the
                 // carryover frequency scale from last step's thermal-throttle and
@@ -905,7 +896,7 @@ impl ClusterSimulator {
                 // the configurator upsizes under surges instead of mistaking a
                 // saturated instance for one that exactly meets its demand.
                 let pressure = pool.pressure[position];
-                let cached_goodput = pool.goodput[position];
+                let goodput = pool.goodput[position].unwrap_or(FALLBACK_GOODPUT);
                 let profile = self.profiles.server(server);
                 let row = profile.row;
 
@@ -936,11 +927,6 @@ impl ClusterSimulator {
                     Kilowatts::new((current_power.value() * scale).max(0.3))
                 };
 
-                let goodput = if cached_goodput.is_nan() {
-                    FALLBACK_GOODPUT
-                } else {
-                    cached_goodput
-                };
                 let limits = InstanceLimits {
                     max_gpu_power: Watts::new(max_gpu_power.value().max(1.0)),
                     max_server_power,

@@ -1,17 +1,20 @@
 //! Request-fabric batch scheduler: continuous batching with KV-cache admission.
 //!
-//! [`InstanceEngine`](crate::engine::InstanceEngine) models one vLLM-style instance with
-//! float-second timestamps and an up-front KV reservation (`total_tokens` charged at
-//! admission). The request fabric needs something slightly different: an aggregate,
-//! *event-timestamped* scheduler for all the replicas an endpoint runs at a site, on an
-//! integer-millisecond clock that composes with the fabric's
-//! [`EventQueue`](simkit::queue::EventQueue), and with KV-cache occupancy tracked the way
-//! "Online Scheduling for LLM Inference with KV Cache Constraints" (PAPERS.md) models it —
-//! **incrementally**: the prompt is pinned at admission, occupancy grows by one token per
-//! running sequence per decode iteration, and the sequence's whole footprint is evicted on
-//! completion.
+//! One [`BatchScheduler`] serves all the replicas an endpoint runs at a site, the way a
+//! vLLM-style engine (§4.5 runs the SaaS instances on vLLM) batches at iteration level:
+//! queued requests are admitted into the running batch, their prompts are prefilled, and
+//! every decode iteration produces one token per running sequence. Time is an integer
+//! millisecond clock that composes with the fabric's
+//! [`EventQueue`](simkit::queue::EventQueue), and iteration durations come from the
+//! analytic [`PerfModel`], so the schedule agrees with the profiles the TAPAS
+//! controllers use.
 //!
-//! Admission is still safe against the incremental growth: the scheduler tracks the
+//! KV-cache occupancy is tracked the way "Online Scheduling for LLM Inference with KV
+//! Cache Constraints" (PAPERS.md) models it — **incrementally**: the prompt is pinned at
+//! admission, occupancy grows by one token per running sequence per decode iteration, and
+//! the sequence's whole footprint is evicted on completion.
+//!
+//! Admission is safe against the incremental growth: the scheduler tracks the
 //! *committed peak* (current occupancy plus the remaining decode growth of every running
 //! sequence) and admits a request only when the committed peak plus the request's full
 //! footprint fits. Because every admitted sequence runs to completion, observed occupancy
@@ -24,8 +27,7 @@ use crate::perf::PerfModel;
 use std::collections::VecDeque;
 
 /// KV-cache capacity in tokens of one replica: the HBM left after weights are resident
-/// (with a 10 % activation margin), divided by the per-token KV footprint. Identical to
-/// the derivation [`crate::engine::InstanceEngine::new`] uses.
+/// (with a 10 % activation margin), divided by the per-token KV footprint.
 #[must_use]
 pub fn kv_capacity_tokens(config: &InstanceConfig, gpu: &GpuHardware) -> usize {
     let total_hbm_gb = gpu.memory_capacity_gb * config.parallelism.gpus() as f64;
@@ -134,7 +136,7 @@ const MAX_BACKOFF_SHIFT: u32 = 8;
 /// Aggregate continuous-batching scheduler for the replicas of one endpoint at one site.
 ///
 /// Time is an integer millisecond clock; iteration durations come from the same analytic
-/// [`PerfModel`] as the per-instance engine (rounded up to whole milliseconds), so the
+/// [`PerfModel`] the TAPAS profiles use (rounded up to whole milliseconds), so the
 /// schedule is exactly reproducible for a pinned arrival stream — no floats accumulate in
 /// the clock.
 #[derive(Debug, Clone)]
@@ -540,14 +542,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_matches_the_instance_engine_derivation() {
-        use crate::engine::InstanceEngine;
-        let config = InstanceConfig::default_70b();
-        let gpu = GpuHardware::a100();
-        let engine = InstanceEngine::new(config, &gpu);
-        assert_eq!(kv_capacity_tokens(&config, &gpu), engine.kv_capacity_tokens());
-        assert_eq!(scheduler(1).kv_capacity(), engine.kv_capacity_tokens());
-        assert_eq!(scheduler(3).kv_capacity(), 3 * engine.kv_capacity_tokens());
+    fn capacity_scales_the_single_kv_derivation_by_replicas() {
+        // 70B FP16 on 8×80 GB: 450 GB of free HBM at 327 680 KV bytes per token.
+        let per_replica = kv_capacity_tokens(&InstanceConfig::default_70b(), &GpuHardware::a100());
+        assert_eq!(per_replica, 1_373_291);
+        assert_eq!(scheduler(1).kv_capacity(), per_replica);
+        assert_eq!(scheduler(3).kv_capacity(), 3 * per_replica);
     }
 
     #[test]

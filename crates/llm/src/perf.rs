@@ -215,6 +215,14 @@ mod tests {
     }
 
     #[test]
+    fn smaller_model_finishes_faster() {
+        // The configurator's small fallback (7B FP8 on TP2) serves a whole request sooner.
+        let m = model();
+        let latency = |c: &InstanceConfig| m.request_latency_unloaded_s(c, 512, 128);
+        assert!(latency(&InstanceConfig::small_fallback()) < latency(&config_70b()));
+    }
+
+    #[test]
     fn quantization_speeds_up_decode() {
         let m = model();
         let fp16 = config_70b();

@@ -5,7 +5,7 @@
 //!
 //! * [`simkit`] — simulation substrate (units, time, statistics, regression, RNG).
 //! * [`dc_sim`] — datacenter physics (topology, cooling, power, failures).
-//! * [`llm_sim`] — LLM inference substrate (models, configurations, profiles, engine).
+//! * [`llm_sim`] — LLM inference substrate (models, configurations, profiles, batching).
 //! * [`workload`] — trace generators (VM arrivals, endpoints, diurnal load, prediction).
 //! * [`tapas`] — the paper's contribution: placement, routing, instance configuration,
 //!   emergency response and the policy matrix.
