@@ -378,14 +378,30 @@ impl ExperimentConfig {
         self
     }
 
-    /// Validates the configuration's scenario (a standalone experiment is site 0 of a
-    /// 1-site fleet, but site-targeted events are allowed here because the config may be
-    /// the shared base of a larger fleet — [`FleetConfig::check`] bounds them).
+    /// Validates the step, the request-fabric rate scale and the scenario's events (a
+    /// standalone experiment is site 0 of a 1-site fleet, but site-targeted events are
+    /// allowed here because the config may be the shared base of a larger fleet —
+    /// [`FleetConfig::check`] bounds them).
     ///
     /// # Errors
-    /// Returns the first violated event invariant as a [`ScenarioError`].
+    /// Returns the first violated invariant as a [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.validate_run_inputs()?;
         self.scenario.validate_events()
+    }
+
+    /// The checks shared by [`Self::validate`] and [`FleetConfig::check`]: a non-zero step
+    /// and a finite, non-negative fabric rate scale.
+    fn validate_run_inputs(&self) -> Result<(), ScenarioError> {
+        if self.step.is_zero() {
+            return Err(ScenarioError::ZeroStep);
+        }
+        if let Some(fabric) = &self.request_fabric {
+            if !(fabric.rate_scale.is_finite() && fabric.rate_scale >= 0.0) {
+                return Err(ScenarioError::InvalidRateScale { scale: fabric.rate_scale });
+            }
+        }
+        Ok(())
     }
 
     /// Resolves the composed scenario (and the legacy failure schedule it subsumes) into
@@ -626,7 +642,8 @@ impl FleetConfig {
     }
 
     /// Validates the cross-field invariants the simulator relies on: at least one site, a
-    /// positive arrival scale, an in-range pinned site, valid arrival shares under
+    /// positive arrival scale, the base's step and fabric rate scale (the same checks as
+    /// [`ExperimentConfig::validate`]), an in-range pinned site, valid arrival shares under
     /// [`GeoPolicy::RoundRobin`] (the only policy that consumes them), and the composed
     /// scenario's event and site-range invariants.
     ///
@@ -641,14 +658,7 @@ impl FleetConfig {
         if self.arrival_scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ScenarioError::NonPositiveArrivalScale { scale: self.arrival_scale });
         }
-        if self.base.step.is_zero() {
-            return Err(ScenarioError::ZeroStep);
-        }
-        if let Some(fabric) = &self.base.request_fabric {
-            if !(fabric.rate_scale.is_finite() && fabric.rate_scale >= 0.0) {
-                return Err(ScenarioError::InvalidRateScale { scale: fabric.rate_scale });
-            }
-        }
+        self.base.validate_run_inputs()?;
         if let GeoPolicy::Pinned(site) = self.geo {
             if site >= self.sites.len() {
                 return Err(ScenarioError::PinnedSiteOutOfRange {
@@ -954,6 +964,24 @@ mod tests {
         fleet.base.request_fabric =
             Some(RequestFabricConfig { rate_scale: 0.0, ..RequestFabricConfig::default() });
         fleet.check().expect("a zero rate scale switches traffic off but is valid");
+    }
+
+    #[test]
+    fn zero_step_fails_experiment_validation() {
+        let mut config = ExperimentConfig::small_smoke_test();
+        config.step = SimDuration::ZERO;
+        assert_eq!(config.validate().unwrap_err(), ScenarioError::ZeroStep);
+    }
+
+    #[test]
+    fn nan_rate_scale_fails_experiment_validation() {
+        let config = ExperimentConfig::small_smoke_test().with_request_fabric(
+            RequestFabricConfig { rate_scale: f64::NAN, ..RequestFabricConfig::default() },
+        );
+        assert!(matches!(
+            config.validate().unwrap_err(),
+            ScenarioError::InvalidRateScale { scale } if scale.is_nan()
+        ));
     }
 
     #[test]

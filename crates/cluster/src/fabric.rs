@@ -141,17 +141,7 @@ impl FabricGenerator {
             let count = endpoint.rng.poisson(mean);
             for _ in 0..count {
                 let offset_ms = endpoint.rng.uniform_usize(0, step_ms as usize) as u64;
-                let prompt = endpoint
-                    .rng
-                    .log_normal(self.shape.median_prompt_tokens.ln(), self.shape.prompt_sigma)
-                    .round()
-                    .max(1.0) as usize;
-                let output = endpoint
-                    .rng
-                    .log_normal(self.shape.median_output_tokens.ln(), self.shape.output_sigma)
-                    .round()
-                    .max(1.0) as usize;
-                let (prompt, output) = clamp_total(prompt, output, self.shape.max_total_tokens);
+                let (prompt, output) = self.shape.sample(&mut endpoint.rng);
                 queue.push(
                     start_ms + offset_ms,
                     FabricRequest {
@@ -165,19 +155,6 @@ impl FabricGenerator {
             }
         }
     }
-}
-
-/// Scales `(prompt, output)` down proportionally if their sum exceeds `max_total` (the
-/// same truncation [`workload`]'s request generator applies).
-fn clamp_total(prompt: usize, output: usize, max_total: usize) -> (usize, usize) {
-    let total = prompt + output;
-    if total <= max_total || total == 0 {
-        return (prompt, output);
-    }
-    let scale = max_total as f64 / total as f64;
-    let prompt = ((prompt as f64 * scale).floor() as usize).max(1);
-    let output = (max_total - prompt).max(1);
-    (prompt, output)
 }
 
 /// Validates a parsed request trace against a catalog of `endpoints` endpoints, then

@@ -36,9 +36,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use tapas::configurator::{InstanceConfigurator, InstanceLimits};
 use tapas::geo::SiteSignals;
-use tapas::placement::{
-    BaselinePlacement, PlacementPlanner, PlacementRequest, TapasPlacement, VmPlacementPolicy,
-};
+use tapas::placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 use tapas::profiles::ProfileStore;
 use tapas::routing::{
     BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouterScratch,
@@ -598,7 +596,6 @@ impl ClusterSimulator {
     }
 
     fn place_pending_vms(&mut self, now: SimTime) {
-        let baseline = BaselinePlacement;
         while let Some(front) = self.pending.front() {
             if front.arrival > now {
                 break;
@@ -608,17 +605,19 @@ impl ClusterSimulator {
                 continue;
             }
             let request = PlacementRequest { vm, predicted_peak_load: self.predicted_peak_load(&vm) };
-            let layout = self.dc.layout();
             let chosen = if self.config.policy.placement_enabled() {
                 self.tapas_placement.place_with(
                     &request,
                     &self.state,
-                    layout,
+                    self.dc.layout(),
                     &self.profiles,
                     &mut self.planner,
                 )
             } else {
-                baseline.place(&request, &self.state, layout, &self.profiles)
+                // The thermal- and power-oblivious baseline: first free server in id order
+                // (a packing placement that concentrates load, as conventional allocators
+                // optimized for fragmentation do).
+                self.state.first_free()
             };
             match chosen {
                 Some(server) => {

@@ -38,13 +38,11 @@ pub mod state;
 pub use configurator::{ConfigDecision, InstanceConfigurator, InstanceLimits};
 pub use emergency::{EmergencyPlan, EmergencyResponder};
 pub use geo::{GeoConfig, GeoPlacement, SiteSignals};
-pub use placement::{
-    BaselinePlacement, PlacementPlanner, PlacementRequest, TapasPlacement, VmPlacementPolicy,
-};
+pub use placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 pub use policy::Policy;
 pub use profiles::{ProfileStore, ServerProfile};
 pub use routing::{
-    BaselineRouter, CandidateSource, CandidateView, InstanceSnapshot, PreparedRoutingContext,
-    RecentWindow, RequestRouterPolicy, RouterScratch, RoutingContext, TapasRouter,
+    BaselineRouter, CandidateView, PreparedRoutingContext, RecentWindow, RouterScratch,
+    RoutingContext, TapasRouter,
 };
 pub use state::{ClusterState, PlacedVm, VmSlotMap};

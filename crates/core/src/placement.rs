@@ -7,7 +7,7 @@
 //! cold/medium/warm terciles of predicted peak GPU temperature); a second preference rule
 //! keeps the IaaS/SaaS mix of each row balanced so the SaaS flexibility is spread across the
 //! power/airflow domains. The Baseline allocator is thermal- and power-oblivious: it packs
-//! VMs onto the lowest-numbered free server.
+//! VMs onto the lowest-numbered free server ([`ClusterState::first_free`]).
 
 use crate::profiles::ProfileStore;
 use crate::state::ClusterState;
@@ -41,43 +41,6 @@ pub struct DesignConditions {
 impl Default for DesignConditions {
     fn default() -> Self {
         Self { design_outside_temp: Celsius::new(32.0), design_dc_load: 0.8 }
-    }
-}
-
-/// A VM placement policy.
-pub trait VmPlacementPolicy {
-    /// Chooses a server for the VM, or `None` if no feasible server exists.
-    fn place(
-        &self,
-        request: &PlacementRequest,
-        state: &ClusterState,
-        layout: &Layout,
-        profiles: &ProfileStore,
-    ) -> Option<ServerId>;
-
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The thermal- and power-oblivious baseline: first free server in id order (a packing
-/// placement that concentrates load, as conventional allocators optimized for fragmentation
-/// do).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BaselinePlacement;
-
-impl VmPlacementPolicy for BaselinePlacement {
-    fn place(
-        &self,
-        _request: &PlacementRequest,
-        state: &ClusterState,
-        _layout: &Layout,
-        _profiles: &ProfileStore,
-    ) -> Option<ServerId> {
-        state.first_free()
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline-placement"
     }
 }
 
@@ -303,15 +266,18 @@ impl TapasPlacement {
 }
 
 impl TapasPlacement {
-    /// Chooses a server using the planner's incrementally maintained aggregates and scratch
-    /// buffers (the allocation-free hot path; [`VmPlacementPolicy::place`] wraps it with a
-    /// transient planner).
+    /// Chooses a server for the VM, or `None` if no server is free.
+    ///
+    /// Reads the planner's incrementally maintained aggregates and reuses its scratch
+    /// buffers, so a decision allocates nothing. The caller keeps the planner in sync with
+    /// `state` through [`PlacementPlanner::on_place`] and [`PlacementPlanner::on_remove`].
+    /// The row and aisle of each server come from `profiles`; `_layout` is not read.
     #[must_use]
     pub fn place_with(
         &self,
         request: &PlacementRequest,
         state: &ClusterState,
-        layout: &Layout,
+        _layout: &Layout,
         profiles: &ProfileStore,
         planner: &mut PlacementPlanner,
     ) -> Option<ServerId> {
@@ -397,7 +363,7 @@ impl TapasPlacement {
             };
             // Preference 2: improve the IaaS/SaaS balance of the row.
             let row = profiles.server(server).row;
-            let (iaas, saas) = state.row_mix(layout, row);
+            let (iaas, saas) = state.row_mix(row);
             let balance_score = {
                 let (new_iaas, new_saas) =
                     if is_saas { (iaas, saas + 1) } else { (iaas + 1, saas) };
@@ -415,23 +381,6 @@ impl TapasPlacement {
             // Every candidate predicted a thermal violation for a SaaS VM: pick the coolest.
             temps.first().map(|&(s, _)| s)
         })
-    }
-}
-
-impl VmPlacementPolicy for TapasPlacement {
-    fn place(
-        &self,
-        request: &PlacementRequest,
-        state: &ClusterState,
-        layout: &Layout,
-        profiles: &ProfileStore,
-    ) -> Option<ServerId> {
-        let mut planner = PlacementPlanner::new(state, layout, profiles, self.config.design);
-        self.place_with(request, state, layout, profiles, &mut planner)
-    }
-
-    fn name(&self) -> &'static str {
-        "tapas-placement"
     }
 }
 
@@ -469,27 +418,38 @@ mod tests {
         PlacementRequest { vm: vm(id, saas), predicted_peak_load: load }
     }
 
+    /// One decision with a planner built from the current state.
+    fn place_fresh(
+        policy: &TapasPlacement,
+        request: &PlacementRequest,
+        state: &ClusterState,
+        layout: &Layout,
+        profiles: &ProfileStore,
+    ) -> Option<ServerId> {
+        let mut planner = PlacementPlanner::new(state, layout, profiles, policy.config.design);
+        policy.place_with(request, state, layout, profiles, &mut planner)
+    }
+
     #[test]
     fn baseline_packs_lowest_free_server() {
-        let (layout, profiles) = setup();
-        let mut state = ClusterState::new(layout.server_count());
-        let policy = BaselinePlacement;
-        assert_eq!(policy.name(), "baseline-placement");
-        let first = policy.place(&request(1, false, 1.0), &state, &layout, &profiles).unwrap();
+        let (layout, _) = setup();
+        let mut state = ClusterState::with_layout(&layout);
+        let first = state.first_free().unwrap();
         assert_eq!(first, ServerId::new(0));
         state.place(vm(1, false), first, 1.0, None).unwrap();
-        let second = policy.place(&request(2, true, 1.0), &state, &layout, &profiles).unwrap();
-        assert_eq!(second, ServerId::new(1));
+        assert_eq!(state.first_free(), Some(ServerId::new(1)));
     }
 
     #[test]
     fn tapas_places_iaas_cooler_than_saas() {
         let (layout, profiles) = setup();
-        let state = ClusterState::new(layout.server_count());
+        let state = ClusterState::with_layout(&layout);
         let policy = TapasPlacement::default();
-        assert_eq!(policy.name(), "tapas-placement");
-        let iaas_server = policy.place(&request(1, false, 0.9), &state, &layout, &profiles).unwrap();
-        let saas_server = policy.place(&request(2, true, 0.9), &state, &layout, &profiles).unwrap();
+        let place = |req: PlacementRequest| {
+            place_fresh(&policy, &req, &state, &layout, &profiles).unwrap()
+        };
+        let iaas_server = place(request(1, false, 0.9));
+        let saas_server = place(request(2, true, 0.9));
         let temp_of = |s: ServerId| policy.thermal_estimate(&profiles, s, 0.9).value();
         assert!(
             temp_of(iaas_server) < temp_of(saas_server),
@@ -502,7 +462,7 @@ mod tests {
     #[test]
     fn tapas_respects_row_power_validator() {
         let (layout, profiles) = setup();
-        let mut state = ClusterState::new(layout.server_count());
+        let mut state = ClusterState::with_layout(&layout);
         let policy = TapasPlacement::default();
         // Fill row 0 with peak-load VMs until its predicted power approaches the budget.
         let row0_servers = layout.rows()[0].servers.clone();
@@ -511,7 +471,8 @@ mod tests {
         }
         // The next peak-load VM must not land in row 0 (its predicted peak would exceed the
         // 85 %-provisioned budget), even though row 0 still has free servers.
-        let chosen = policy.place(&request(1, false, 1.0), &state, &layout, &profiles).unwrap();
+        let chosen =
+            place_fresh(&policy, &request(1, false, 1.0), &state, &layout, &profiles).unwrap();
         let chosen_row = layout.server(chosen).row;
         assert_eq!(chosen_row.index(), 1, "validator should steer the VM to the other row");
     }
@@ -519,17 +480,19 @@ mod tests {
     #[test]
     fn tapas_balances_iaas_and_saas_across_rows() {
         let (layout, profiles) = setup();
-        let mut state = ClusterState::new(layout.server_count());
+        let mut state = ClusterState::with_layout(&layout);
         let policy = TapasPlacement::default();
+        let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
         // Place an alternating stream and check that neither row ends up one-sided.
         for i in 0..40u64 {
             let saas = i % 2 == 0;
             let req = request(i, saas, 0.7);
-            let server = policy.place(&req, &state, &layout, &profiles).unwrap();
+            let server = policy.place_with(&req, &state, &layout, &profiles, &mut planner).unwrap();
             state.place(vm(i, saas), server, 0.7, None).unwrap();
+            planner.on_place(server, 0.7, &profiles);
         }
         for row in layout.rows() {
-            let (iaas, saas) = state.row_mix(&layout, row.id);
+            let (iaas, saas) = state.row_mix(row.id);
             let total = iaas + saas;
             if total >= 8 {
                 let imbalance = (iaas as f64 - saas as f64).abs() / total as f64;
@@ -541,31 +504,32 @@ mod tests {
     #[test]
     fn full_cluster_returns_none_for_baseline_and_fallback_for_tapas() {
         let (layout, profiles) = setup();
-        let mut state = ClusterState::new(layout.server_count());
+        let mut state = ClusterState::with_layout(&layout);
         for i in 0..layout.server_count() {
             state
                 .place(vm(i as u64, false), ServerId::new(i), 0.5, None)
                 .unwrap();
         }
-        assert!(BaselinePlacement
-            .place(&request(999, false, 0.5), &state, &layout, &profiles)
-            .is_none());
-        assert!(TapasPlacement::default()
-            .place(&request(999, false, 0.5), &state, &layout, &profiles)
+        assert!(state.first_free().is_none());
+        let policy = TapasPlacement::default();
+        assert!(place_fresh(&policy, &request(999, false, 0.5), &state, &layout, &profiles)
             .is_none());
     }
 
     #[test]
     fn predicted_peaks_never_exceed_budget_under_tapas_when_feasible() {
         let (layout, profiles) = setup();
-        let mut state = ClusterState::new(layout.server_count());
+        let mut state = ClusterState::with_layout(&layout);
         let policy = TapasPlacement::default();
+        let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
         // Place a realistic mixed stream at moderate predicted load and verify the invariant.
         for i in 0..60u64 {
             let saas = i % 2 == 0;
             let req = request(i, saas, 0.8);
-            if let Some(server) = policy.place(&req, &state, &layout, &profiles) {
+            if let Some(server) = policy.place_with(&req, &state, &layout, &profiles, &mut planner)
+            {
                 state.place(vm(i, saas), server, 0.8, None).unwrap();
+                planner.on_place(server, 0.8, &profiles);
             }
         }
         let row_power = TapasPlacement::predicted_row_power(&state, &layout, &profiles);
@@ -578,6 +542,8 @@ mod tests {
                 row_power[&row.id],
                 budget
             );
+            // The planner kept in sync through `on_place` agrees with the full recount.
+            assert!((planner.row_power_kw(row.id) - row_power[&row.id].value()).abs() < 1e-6);
         }
     }
 }

@@ -12,18 +12,15 @@
 //!
 //! # Hot path
 //!
-//! The simulator routes millions of request quanta per experiment, so the router has two
-//! entry points. The [`RequestRouterPolicy`] trait keeps the snapshot-slice API for tests and
-//! ad-hoc callers. The hot path routes over a [`CandidateSource`] (a struct-of-arrays view of
-//! an endpoint's instances maintained incrementally by the caller) with a
-//! [`PreparedRoutingContext`] that pre-computes per-row/per-aisle headrooms and memoizes
-//! per-server inlet predictions in a [`RouterScratch`], returning a candidate *index* so the
-//! caller can update its registry in O(1). Both entry points share one generic decision core,
-//! so the policy cannot diverge between them.
+//! The simulator routes millions of request quanta per experiment. The router works over a
+//! [`CandidateView`] (a struct-of-arrays view of an endpoint's instances maintained
+//! incrementally by the caller) with a [`PreparedRoutingContext`] that pre-computes
+//! per-row/per-aisle headrooms and memoizes per-server inlet predictions in a
+//! [`RouterScratch`], and returns a candidate *index* so the caller can update its registry in
+//! O(1).
 
 use crate::profiles::ProfileStore;
 use dc_sim::ids::ServerId;
-use llm_sim::config::InstanceConfig;
 use llm_sim::request::{CustomerId, InferenceRequest};
 use serde::{Deserialize, Serialize};
 use simkit::units::{Celsius, CubicFeetPerMinute, Kilowatts};
@@ -116,26 +113,6 @@ impl RecentWindow {
     }
 }
 
-/// A snapshot of one SaaS instance the router can send requests to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstanceSnapshot {
-    /// The VM running the instance.
-    pub vm: VmId,
-    /// The server hosting it.
-    pub server: ServerId,
-    /// Requests currently queued or running on the instance.
-    pub outstanding_requests: usize,
-    /// Current mean GPU utilization of the instance in `[0, 1]`.
-    pub utilization: f64,
-    /// Customers whose KV cache is likely still resident (recently served).
-    pub recent_customers: Vec<CustomerId>,
-    /// The instance's current configuration.
-    pub config: InstanceConfig,
-    /// Whether the instance is currently unavailable (e.g. reloading after a
-    /// reconfiguration, §4.3).
-    pub in_transition: bool,
-}
-
 /// The infrastructure state the router consults (recomputed every few minutes, §4.2).
 ///
 /// Per-row power and per-aisle airflow are dense vectors indexed by `RowId::index` /
@@ -202,127 +179,16 @@ pub struct CandidateView<'a> {
     pub recent: &'a [RecentWindow],
 }
 
-/// Anything the routing core can draw candidates from.
-pub trait CandidateSource {
-    /// Number of candidates.
-    fn len(&self) -> usize;
-    /// Returns `true` if there are no candidates.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// VM id of candidate `i`.
-    fn vm(&self, i: usize) -> VmId;
-    /// Server of candidate `i`.
-    fn server(&self, i: usize) -> ServerId;
-    /// Outstanding requests of candidate `i`.
-    fn outstanding(&self, i: usize) -> usize;
-    /// Utilization of candidate `i`.
-    fn utilization(&self, i: usize) -> f64;
-    /// Whether candidate `i` is reloading.
-    fn in_transition(&self, i: usize) -> bool;
-    /// Whether candidate `i` recently served `customer`.
-    fn has_recent(&self, i: usize, customer: CustomerId) -> bool;
-}
-
-impl CandidateSource for &[InstanceSnapshot] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn vm(&self, i: usize) -> VmId {
-        self[i].vm
-    }
-    fn server(&self, i: usize) -> ServerId {
-        self[i].server
-    }
-    fn outstanding(&self, i: usize) -> usize {
-        self[i].outstanding_requests
-    }
-    fn utilization(&self, i: usize) -> f64 {
-        self[i].utilization
-    }
-    fn in_transition(&self, i: usize) -> bool {
-        self[i].in_transition
-    }
-    fn has_recent(&self, i: usize, customer: CustomerId) -> bool {
-        self[i].recent_customers.contains(&customer)
-    }
-}
-
-impl CandidateSource for CandidateView<'_> {
-    fn len(&self) -> usize {
-        self.vm.len()
-    }
-    fn vm(&self, i: usize) -> VmId {
-        self.vm[i]
-    }
-    fn server(&self, i: usize) -> ServerId {
-        self.server[i]
-    }
-    fn outstanding(&self, i: usize) -> usize {
-        self.outstanding[i] as usize
-    }
-    fn utilization(&self, i: usize) -> f64 {
-        self.utilization[i]
-    }
-    fn in_transition(&self, i: usize) -> bool {
-        self.in_transition[i]
-    }
-    fn has_recent(&self, i: usize, customer: CustomerId) -> bool {
-        self.recent[i].contains(customer)
-    }
-}
-
-/// A request routing policy.
-pub trait RequestRouterPolicy {
-    /// Picks the instance to serve `request`, or `None` if `instances` is empty.
-    fn route(
-        &self,
-        request: &InferenceRequest,
-        instances: &[InstanceSnapshot],
-        profiles: &ProfileStore,
-        context: &RoutingContext,
-    ) -> Option<VmId>;
-
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
 /// The conventional baseline: least outstanding requests, ignoring thermal/power state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineRouter;
 
 impl BaselineRouter {
-    /// Routes over any candidate source, returning the chosen candidate index.
+    /// Picks the candidate with the smallest `(outstanding, vm)` among those not in
+    /// transition, or among all candidates when every one is in transition.
     ///
-    /// Single pass, allocation-free: tracks the best available and the best overall
-    /// candidate by `(outstanding, vm)` and falls back to the overall best only when every
-    /// instance is in transition.
-    #[must_use]
-    pub fn route_candidates<S: CandidateSource>(&self, candidates: &S) -> Option<usize> {
-        let mut best_available: Option<(usize, u64, usize)> = None;
-        let mut best_any: Option<(usize, u64, usize)> = None;
-        for i in 0..candidates.len() {
-            let key = (candidates.outstanding(i), candidates.vm(i).0);
-            let better = |best: &Option<(usize, u64, usize)>| match best {
-                Some((outstanding, vm, _)) => key < (*outstanding, *vm),
-                None => true,
-            };
-            if better(&best_any) {
-                best_any = Some((key.0, key.1, i));
-            }
-            if !candidates.in_transition(i) && better(&best_available) {
-                best_available = Some((key.0, key.1, i));
-            }
-        }
-        best_available.or(best_any).map(|(_, _, i)| i)
-    }
-}
-
-impl BaselineRouter {
-    /// Specialized scan over the struct-of-arrays view: one pass tracking the minimum of a
-    /// packed `(outstanding, vm)` key, with transitioning instances forced to the maximum
-    /// key so they never win. Falls back to the generic tiered scan only when every
-    /// instance is transitioning.
+    /// One pass tracking the minimum of a packed `(outstanding, vm)` key, with transitioning
+    /// instances forced to the maximum key so they never win.
     #[must_use]
     pub fn route_view(&self, view: &CandidateView<'_>) -> Option<usize> {
         let n = view.vm.len();
@@ -346,26 +212,10 @@ impl BaselineRouter {
             }
         }
         if best == usize::MAX {
-            // Every instance is in transition: the generic scan handles the degenerate tier.
-            return self.route_candidates(view);
+            // Every instance is in transition: the request still goes somewhere.
+            return (0..n).min_by_key(|&i| (view.outstanding[i], view.vm[i].0));
         }
         Some(best)
-    }
-}
-
-impl RequestRouterPolicy for BaselineRouter {
-    fn route(
-        &self,
-        _request: &InferenceRequest,
-        instances: &[InstanceSnapshot],
-        _profiles: &ProfileStore,
-        _context: &RoutingContext,
-    ) -> Option<VmId> {
-        self.route_candidates(&instances).map(|i| instances[i].vm)
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline-router"
     }
 }
 
@@ -468,15 +318,15 @@ impl PreparedRoutingContext {
 /// Reusable per-step buffers for the routing hot path.
 #[derive(Debug, Default)]
 pub struct RouterScratch {
-    /// Memoized per-server predicted inlet (°C); NaN marks "not yet computed this step".
-    inlet_c: Vec<f64>,
+    /// Memoized per-server predicted inlet (°C); `None` until computed this step.
+    inlet_c: Vec<Option<f64>>,
 }
 
 impl RouterScratch {
     /// Resets the memo for a new step.
     pub fn begin_step(&mut self, server_count: usize) {
         self.inlet_c.clear();
-        self.inlet_c.resize(server_count, f64::NAN);
+        self.inlet_c.resize(server_count, None);
     }
 }
 
@@ -553,15 +403,26 @@ impl TapasRouter {
         100.0 * affinity + 2.0 * concentration + spread
     }
 
-    /// The shared decision core: one pass over the candidates, tracking the best candidate
-    /// of each fallback tier (available+safe, available, safe, any). Ties break toward the
+    /// Routes one request given pre-computed risk flags (`flags[i]` is `true` when candidate
+    /// `i` is risky).
+    ///
+    /// The caller computes the flags once per endpoint per step with
+    /// [`Self::fill_risk_flags`], then refreshes only the mutated candidate's flag (via
+    /// [`Self::candidate_risk`]) after each routed quantum — so each decision costs one
+    /// scoring pass and zero risk-model evaluations. The pass tracks the best candidate of
+    /// each fallback tier (available+safe, available, safe, any). Ties break toward the
     /// smaller VM id, so the result is independent of candidate order.
-    fn route_core<S: CandidateSource>(
+    ///
+    /// # Panics
+    /// Panics if `flags` is shorter than the candidate list.
+    #[must_use]
+    pub fn route_prescored(
         &self,
         request: &InferenceRequest,
-        candidates: &S,
-        mut risky: impl FnMut(usize, ServerId, f64) -> bool,
+        candidates: &CandidateView<'_>,
+        flags: &[bool],
     ) -> Option<usize> {
+        assert!(flags.len() >= candidates.vm.len(), "risk flags must cover every candidate");
         #[derive(Clone, Copy)]
         struct Best {
             score: f64,
@@ -584,18 +445,19 @@ impl TapasRouter {
         let mut all_safe: Option<Best> = None;
         let mut all_any: Option<Best> = None;
 
-        for i in 0..candidates.len() {
-            let vm = candidates.vm(i).0;
-            let utilization = candidates.utilization(i);
-            let score = self.score(candidates.outstanding(i), utilization, || {
-                candidates.has_recent(i, request.customer)
-            });
-            let is_safe = !risky(i, candidates.server(i), utilization);
+        for (i, &risky) in flags[..candidates.vm.len()].iter().enumerate() {
+            let vm = candidates.vm[i].0;
+            let score = self.score(
+                candidates.outstanding[i] as usize,
+                candidates.utilization[i],
+                || candidates.recent[i].contains(request.customer),
+            );
+            let is_safe = !risky;
             consider(&mut all_any, score, vm, i);
             if is_safe {
                 consider(&mut all_safe, score, vm, i);
             }
-            if !candidates.in_transition(i) {
+            if !candidates.in_transition[i] {
                 consider(&mut avail_any, score, vm, i);
                 if is_safe {
                     consider(&mut avail_safe, score, vm, i);
@@ -614,50 +476,20 @@ impl TapasRouter {
         chosen.map(|b| b.index)
     }
 
-    /// Hot-path routing over a struct-of-arrays candidate view with pre-computed headrooms
-    /// and a per-step inlet memo. Returns the index of the chosen candidate.
-    #[must_use]
-    pub fn route_candidates<S: CandidateSource>(
-        &self,
-        request: &InferenceRequest,
-        candidates: &S,
-        profiles: &ProfileStore,
-        prepared: &PreparedRoutingContext,
-        scratch: &mut RouterScratch,
-    ) -> Option<usize> {
-        let inlet_memo = &mut scratch.inlet_c;
-        self.route_core(request, candidates, |_, server, utilization| {
-            Self::risk_with_memo(
-                &self.config,
-                server,
-                utilization,
-                profiles,
-                prepared,
-                inlet_memo,
-            )
-        })
-    }
-
     #[inline]
     fn risk_with_memo(
-        config: &TapasRouterConfig,
+        &self,
         server: ServerId,
         utilization: f64,
         profiles: &ProfileStore,
         prepared: &PreparedRoutingContext,
-        inlet_memo: &mut [f64],
+        inlet_memo: &mut [Option<f64>],
     ) -> bool {
-        let slot = &mut inlet_memo[server.index()];
-        if slot.is_nan() {
-            *slot = profiles
-                .server(server)
-                .predicted_inlet(prepared.outside_temp, prepared.dc_load)
-                .value();
-        }
-        let inlet = Celsius::new(*slot);
         let profile = profiles.server(server);
-        let router = TapasRouter { config: *config };
-        router.is_risky_with_inlet(
+        let inlet = Celsius::new(*inlet_memo[server.index()].get_or_insert_with(|| {
+            profile.predicted_inlet(prepared.outside_temp, prepared.dc_load).value()
+        }));
+        self.is_risky_with_inlet(
             server,
             utilization,
             inlet,
@@ -678,78 +510,24 @@ impl TapasRouter {
         prepared: &PreparedRoutingContext,
         scratch: &mut RouterScratch,
     ) -> bool {
-        Self::risk_with_memo(
-            &self.config,
-            server,
-            utilization,
-            profiles,
-            prepared,
-            &mut scratch.inlet_c,
-        )
+        self.risk_with_memo(server, utilization, profiles, prepared, &mut scratch.inlet_c)
     }
 
     /// Fills `flags[i] = risky(candidate i)` for every candidate, reusing the scratch memo.
-    pub fn fill_risk_flags<S: CandidateSource>(
+    pub fn fill_risk_flags(
         &self,
-        candidates: &S,
+        candidates: &CandidateView<'_>,
         profiles: &ProfileStore,
         prepared: &PreparedRoutingContext,
         scratch: &mut RouterScratch,
         flags: &mut Vec<bool>,
     ) {
         flags.clear();
-        flags.reserve(candidates.len());
-        for i in 0..candidates.len() {
-            flags.push(Self::risk_with_memo(
-                &self.config,
-                candidates.server(i),
-                candidates.utilization(i),
-                profiles,
-                prepared,
-                &mut scratch.inlet_c,
-            ));
-        }
-    }
-
-    /// Hot-path routing with pre-computed risk flags.
-    ///
-    /// The caller computes the flags once per endpoint per step with
-    /// [`Self::fill_risk_flags`], then refreshes only the mutated candidate's flag (via
-    /// [`Self::candidate_risk`]) after each routed quantum — so each decision costs one
-    /// scoring pass and zero risk-model evaluations. Equivalent to
-    /// [`Self::route_candidates`] when the flags are current.
-    ///
-    /// # Panics
-    /// Panics if `flags` is shorter than the candidate list.
-    #[must_use]
-    pub fn route_prescored<S: CandidateSource>(
-        &self,
-        request: &InferenceRequest,
-        candidates: &S,
-        flags: &[bool],
-    ) -> Option<usize> {
-        assert!(flags.len() >= candidates.len(), "risk flags must cover every candidate");
-        self.route_core(request, candidates, |i, _, _| flags[i])
-    }
-}
-
-impl RequestRouterPolicy for TapasRouter {
-    fn route(
-        &self,
-        request: &InferenceRequest,
-        instances: &[InstanceSnapshot],
-        profiles: &ProfileStore,
-        context: &RoutingContext,
-    ) -> Option<VmId> {
-        let prepared = PreparedRoutingContext::new(context, &self.config, profiles);
-        let mut scratch = RouterScratch::default();
-        scratch.begin_step(profiles.server_count());
-        self.route_candidates(request, &instances, profiles, &prepared, &mut scratch)
-            .map(|i| instances[i].vm)
-    }
-
-    fn name(&self) -> &'static str {
-        "tapas-router"
+        flags.extend(candidates.server.iter().zip(candidates.utilization).map(
+            |(&server, &utilization)| {
+                self.risk_with_memo(server, utilization, profiles, prepared, &mut scratch.inlet_c)
+            },
+        ));
     }
 }
 
@@ -761,23 +539,12 @@ mod tests {
     use dc_sim::topology::LayoutConfig;
     use llm_sim::hardware::GpuHardware;
     use llm_sim::request::RequestId;
+    use simkit::rng::SimRng;
     use simkit::time::SimTime;
 
     fn profiles() -> ProfileStore {
         let dc = Datacenter::new(LayoutConfig::real_cluster_two_rows().build(), 42);
         ProfileStore::offline_profiling(&dc, &GpuHardware::a100())
-    }
-
-    fn snapshot(vm: u64, server: usize, outstanding: usize, util: f64) -> InstanceSnapshot {
-        InstanceSnapshot {
-            vm: VmId(vm),
-            server: ServerId::new(server),
-            outstanding_requests: outstanding,
-            utilization: util,
-            recent_customers: Vec::new(),
-            config: InstanceConfig::default_70b(),
-            in_transition: false,
-        }
     }
 
     fn request(customer: u64) -> InferenceRequest {
@@ -787,6 +554,66 @@ mod tests {
             arrival: SimTime::ZERO,
             prompt_tokens: 512,
             output_tokens: 128,
+        }
+    }
+
+    /// Owned columns behind a [`CandidateView`], as the simulator's instance registry keeps
+    /// them.
+    #[derive(Default)]
+    struct Columns {
+        vm: Vec<VmId>,
+        server: Vec<ServerId>,
+        outstanding: Vec<u32>,
+        utilization: Vec<f64>,
+        in_transition: Vec<bool>,
+        recent: Vec<RecentWindow>,
+    }
+
+    impl Columns {
+        /// One instance per `(vm, server, outstanding, utilization)` tuple.
+        fn new(instances: &[(u64, usize, u32, f64)]) -> Self {
+            let mut columns = Self::default();
+            for &(vm, server, outstanding, utilization) in instances {
+                columns.vm.push(VmId(vm));
+                columns.server.push(ServerId::new(server));
+                columns.outstanding.push(outstanding);
+                columns.utilization.push(utilization);
+                columns.in_transition.push(false);
+                columns.recent.push(RecentWindow::new());
+            }
+            columns
+        }
+
+        fn view(&self) -> CandidateView<'_> {
+            CandidateView {
+                vm: &self.vm,
+                server: &self.server,
+                outstanding: &self.outstanding,
+                utilization: &self.utilization,
+                in_transition: &self.in_transition,
+                recent: &self.recent,
+            }
+        }
+
+        /// The TAPAS hot path for one step: prepare the context, flag risky candidates,
+        /// route.
+        fn route_tapas(
+            &self,
+            router: &TapasRouter,
+            customer: u64,
+            profiles: &ProfileStore,
+            ctx: &RoutingContext,
+        ) -> Option<VmId> {
+            let prepared = PreparedRoutingContext::new(ctx, &router.config, profiles);
+            let mut scratch = RouterScratch::default();
+            scratch.begin_step(profiles.server_count());
+            let mut flags = Vec::new();
+            router.fill_risk_flags(&self.view(), profiles, &prepared, &mut scratch, &mut flags);
+            router.route_prescored(&request(customer), &self.view(), &flags).map(|i| self.vm[i])
+        }
+
+        fn route_baseline(&self) -> Option<VmId> {
+            BaselineRouter.route_view(&self.view()).map(|i| self.vm[i])
         }
     }
 
@@ -811,26 +638,46 @@ mod tests {
 
     #[test]
     fn baseline_picks_least_outstanding() {
-        let profiles = profiles();
-        let ctx = calm_context(&profiles);
-        let instances = vec![snapshot(1, 0, 10, 0.9), snapshot(2, 1, 2, 0.3), snapshot(3, 2, 5, 0.5)];
-        let choice = BaselineRouter.route(&request(0), &instances, &profiles, &ctx);
-        assert_eq!(choice, Some(VmId(2)));
-        assert_eq!(BaselineRouter.name(), "baseline-router");
-        assert!(BaselineRouter.route(&request(0), &[], &profiles, &ctx).is_none());
+        let columns = Columns::new(&[(1, 0, 10, 0.9), (2, 1, 2, 0.3), (3, 2, 5, 0.5)]);
+        assert_eq!(columns.route_baseline(), Some(VmId(2)));
+        assert!(Columns::new(&[]).route_baseline().is_none());
     }
 
     #[test]
     fn baseline_skips_instances_in_transition_when_possible() {
-        let profiles = profiles();
-        let ctx = calm_context(&profiles);
-        let mut busy = snapshot(1, 0, 1, 0.2);
-        busy.in_transition = true;
-        let instances = vec![busy.clone(), snapshot(2, 1, 5, 0.5)];
-        assert_eq!(BaselineRouter.route(&request(0), &instances, &profiles, &ctx), Some(VmId(2)));
+        let mut columns = Columns::new(&[(1, 0, 1, 0.2), (2, 1, 5, 0.5)]);
+        columns.in_transition[0] = true;
+        assert_eq!(columns.route_baseline(), Some(VmId(2)));
         // If every instance is in transition the request still goes somewhere.
-        let all_busy = vec![busy];
-        assert_eq!(BaselineRouter.route(&request(0), &all_busy, &profiles, &ctx), Some(VmId(1)));
+        columns.in_transition[1] = true;
+        assert_eq!(columns.route_baseline(), Some(VmId(1)));
+    }
+
+    #[test]
+    fn baseline_route_view_matches_brute_force_reference() {
+        let mut rng = SimRng::seed_from(17).derive("baseline-route-view");
+        for case in 0..500 {
+            let n = rng.uniform_usize(0, 12);
+            let mut vm_ids: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
+            rng.shuffle(&mut vm_ids);
+            // A quarter of the cases put every instance in transition.
+            let all_transitioning = case % 4 == 0;
+            let mut columns = Columns::default();
+            for &vm in &vm_ids {
+                columns.vm.push(VmId(vm));
+                columns.server.push(ServerId::new(rng.uniform_usize(0, 80)));
+                // Few distinct loads, so `(outstanding, vm)` ties on outstanding often.
+                columns.outstanding.push(rng.uniform_usize(0, 4) as u32);
+                columns.utilization.push(rng.uniform(0.0, 1.0));
+                columns.in_transition.push(all_transitioning || rng.chance(0.4));
+                columns.recent.push(RecentWindow::new());
+            }
+            let key = |i: usize| (columns.outstanding[i], columns.vm[i].0);
+            let available: Vec<usize> = (0..n).filter(|&i| !columns.in_transition[i]).collect();
+            let pool: Vec<usize> = if available.is_empty() { (0..n).collect() } else { available };
+            let expected = pool.into_iter().min_by_key(|&i| key(i));
+            assert_eq!(BaselineRouter.route_view(&columns.view()), expected, "case {case}");
+        }
     }
 
     #[test]
@@ -843,10 +690,9 @@ mod tests {
         let row0 = profiles.server(ServerId::new(0)).row;
         let budget = profiles.budgets.row_power[row0];
         ctx.row_power[row0.index()] = budget * 0.99;
-        let instances = vec![snapshot(1, 0, 1, 0.5), snapshot(2, 40, 5, 0.5)];
-        let choice = router.route(&request(0), &instances, &profiles, &ctx);
+        let columns = Columns::new(&[(1, 0, 1, 0.5), (2, 40, 5, 0.5)]);
+        let choice = columns.route_tapas(&router, 0, &profiles, &ctx);
         assert_eq!(choice, Some(VmId(2)), "the request must avoid the at-risk row");
-        assert_eq!(router.name(), "tapas-router");
     }
 
     #[test]
@@ -861,13 +707,11 @@ mod tests {
         // A very hot day with high utilization puts fully-loaded servers at thermal risk.
         ctx.outside_temp = Celsius::new(42.0);
         ctx.dc_load = 1.0;
-        let hot = snapshot(1, 0, 0, 0.98);
-        let cool = snapshot(2, 40, 8, 0.2);
-        let choice = router.route(&request(0), &[hot.clone(), cool], &profiles, &ctx);
-        assert_eq!(choice, Some(VmId(2)));
+        let hot_and_cool = Columns::new(&[(1, 0, 0, 0.98), (2, 40, 8, 0.2)]);
+        assert_eq!(hot_and_cool.route_tapas(&router, 0, &profiles, &ctx), Some(VmId(2)));
         // If every instance is risky, the router still returns something.
-        let choice = router.route(&request(0), &[hot], &profiles, &ctx);
-        assert_eq!(choice, Some(VmId(1)));
+        let hot = Columns::new(&[(1, 0, 0, 0.98)]);
+        assert_eq!(hot.route_tapas(&router, 0, &profiles, &ctx), Some(VmId(1)));
     }
 
     #[test]
@@ -875,14 +719,12 @@ mod tests {
         let profiles = profiles();
         let router = TapasRouter::default();
         let ctx = calm_context(&profiles);
-        let mut with_cache = snapshot(1, 0, 6, 0.5);
-        with_cache.recent_customers.push(CustomerId(7));
-        let without_cache = snapshot(2, 1, 0, 0.1);
-        let choice =
-            router.route(&request(7), &[with_cache.clone(), without_cache.clone()], &profiles, &ctx);
+        let mut columns = Columns::new(&[(1, 0, 6, 0.5), (2, 1, 0, 0.1)]);
+        columns.recent[0].push(CustomerId(7));
+        let choice = columns.route_tapas(&router, 7, &profiles, &ctx);
         assert_eq!(choice, Some(VmId(1)), "KV affinity should dominate");
         // A different customer goes by concentration/spread instead.
-        let other = router.route(&request(9), &[with_cache, without_cache], &profiles, &ctx);
+        let other = columns.route_tapas(&router, 9, &profiles, &ctx);
         assert_eq!(other, Some(VmId(1)), "concentration prefers the busier-but-safe instance");
     }
 
@@ -892,15 +734,11 @@ mod tests {
         let router = TapasRouter::default();
         let ctx = calm_context(&profiles);
         // Both below the knee: prefer the busier one (concentration).
-        let low = snapshot(1, 0, 2, 0.2);
-        let mid = snapshot(2, 1, 2, 0.6);
-        assert_eq!(
-            router.route(&request(0), &[low.clone(), mid], &profiles, &ctx),
-            Some(VmId(2))
-        );
+        let low_and_mid = Columns::new(&[(1, 0, 2, 0.2), (2, 1, 2, 0.6)]);
+        assert_eq!(low_and_mid.route_tapas(&router, 0, &profiles, &ctx), Some(VmId(2)));
         // One far above the knee: prefer the one with headroom.
-        let hot = snapshot(3, 2, 2, 0.95);
-        assert_eq!(router.route(&request(0), &[low, hot], &profiles, &ctx), Some(VmId(1)));
+        let low_and_hot = Columns::new(&[(1, 0, 2, 0.2), (3, 2, 2, 0.95)]);
+        assert_eq!(low_and_hot.route_tapas(&router, 0, &profiles, &ctx), Some(VmId(1)));
     }
 
     #[test]
@@ -913,64 +751,43 @@ mod tests {
         ctx.aisle_airflow[aisle.index()] = provisioned * 0.999;
         // Both instances are in the same (only) aisle, so the filter rejects both and the
         // fallback still routes the request.
-        let instances = vec![snapshot(1, 0, 3, 0.5), snapshot(2, 40, 1, 0.5)];
-        let choice = router.route(&request(0), &instances, &profiles, &ctx);
-        assert!(choice.is_some());
+        let columns = Columns::new(&[(1, 0, 3, 0.5), (2, 40, 1, 0.5)]);
+        assert!(columns.route_tapas(&router, 0, &profiles, &ctx).is_some());
     }
 
     #[test]
-    fn candidate_view_and_snapshot_paths_agree() {
+    fn refreshed_flags_match_a_full_refill_after_every_quantum() {
+        // The simulator fills the flags once per step and refreshes only the routed
+        // candidate's flag; that must route exactly as refilling every flag would.
         let profiles = profiles();
         let router = TapasRouter::default();
-        let ctx = calm_context(&profiles);
-        let snapshots: Vec<InstanceSnapshot> = (0..20)
-            .map(|i| {
-                let mut s = snapshot(i, (i as usize * 7) % 80, (i % 5) as usize, (i % 10) as f64 / 10.0);
-                if i % 6 == 0 {
-                    s.recent_customers.push(CustomerId(3));
-                }
-                if i % 7 == 0 {
-                    s.in_transition = true;
-                }
-                s
-            })
-            .collect();
-        // Build the SoA columns mirroring the snapshots.
-        let vm: Vec<VmId> = snapshots.iter().map(|s| s.vm).collect();
-        let server: Vec<ServerId> = snapshots.iter().map(|s| s.server).collect();
-        let outstanding: Vec<u32> = snapshots.iter().map(|s| s.outstanding_requests as u32).collect();
-        let utilization: Vec<f64> = snapshots.iter().map(|s| s.utilization).collect();
-        let in_transition: Vec<bool> = snapshots.iter().map(|s| s.in_transition).collect();
-        let recent: Vec<RecentWindow> = snapshots
-            .iter()
-            .map(|s| {
-                let mut w = RecentWindow::new();
-                for &c in &s.recent_customers {
-                    w.push(c);
-                }
-                w
-            })
-            .collect();
-        let view = CandidateView {
-            vm: &vm,
-            server: &server,
-            outstanding: &outstanding,
-            utilization: &utilization,
-            in_transition: &in_transition,
-            recent: &recent,
-        };
+        let mut ctx = calm_context(&profiles);
+        ctx.row_power[0] = profiles.budgets.row_power[RowId::new(0)] * 0.93;
+        let instances: Vec<(u64, usize, u32, f64)> =
+            (0..20).map(|i| (i, (i as usize * 7) % 80, (i % 5) as u32, (i % 10) as f64 / 10.0)).collect();
+        let mut columns = Columns::new(&instances);
+        columns.in_transition[3] = true;
         let prepared = PreparedRoutingContext::new(&ctx, &router.config, &profiles);
         let mut scratch = RouterScratch::default();
-        for customer in 0..8u64 {
-            scratch.begin_step(profiles.server_count());
-            let via_view = router
-                .route_candidates(&request(customer), &view, &profiles, &prepared, &mut scratch)
-                .map(|i| vm[i]);
-            let via_snapshots = router.route(&request(customer), &snapshots, &profiles, &ctx);
-            assert_eq!(via_view, via_snapshots, "customer {customer}");
-            let base_view = BaselineRouter.route_candidates(&view).map(|i| vm[i]);
-            let base_snap = BaselineRouter.route(&request(customer), &snapshots, &profiles, &ctx);
-            assert_eq!(base_view, base_snap);
+        scratch.begin_step(profiles.server_count());
+        let mut flags = Vec::new();
+        router.fill_risk_flags(&columns.view(), &profiles, &prepared, &mut scratch, &mut flags);
+        let mut refilled = Vec::new();
+        for quantum in 0..60u64 {
+            let request = request(quantum % 4);
+            let i = router.route_prescored(&request, &columns.view(), &flags).expect("non-empty");
+            router.fill_risk_flags(&columns.view(), &profiles, &prepared, &mut scratch, &mut refilled);
+            assert_eq!(router.route_prescored(&request, &columns.view(), &refilled), Some(i));
+            columns.utilization[i] = (columns.utilization[i] + 0.1).min(1.5);
+            columns.outstanding[i] += 1;
+            columns.recent[i].push(request.customer);
+            flags[i] = router.candidate_risk(
+                columns.server[i],
+                columns.utilization[i],
+                &profiles,
+                &prepared,
+                &mut scratch,
+            );
         }
     }
 
@@ -986,9 +803,8 @@ mod tests {
             row_power: Vec::new(),
             aisle_airflow: Vec::new(),
         };
-        let instances = vec![snapshot(1, 0, 1, 0.5), snapshot(2, 40, 3, 0.4)];
-        assert!(router.route(&request(0), &instances, &profiles, &ctx).is_some());
-        assert!(BaselineRouter.route(&request(0), &instances, &profiles, &ctx).is_some());
+        let columns = Columns::new(&[(1, 0, 1, 0.5), (2, 40, 3, 0.4)]);
+        assert!(columns.route_tapas(&router, 0, &profiles, &ctx).is_some());
     }
 
     #[test]

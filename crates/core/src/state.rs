@@ -10,11 +10,10 @@
 //! The state is index-based rather than map-based so the scheduling hot path never walks a
 //! tree: a dense server arena (`Vec<Option<PlacedVm>>` indexed by [`ServerId::index`]), a
 //! dense `VmId → server` slot index ([`VmSlotMap`]), a free-server bitmap for O(words)
-//! first-fit queries, and — when built [`ClusterState::with_layout`] — cached per-row
-//! IaaS/SaaS counts and per-endpoint instance lists maintained incrementally on every
-//! place/remove.
+//! first-fit queries, and cached per-row IaaS/SaaS counts and per-endpoint instance lists
+//! maintained incrementally on every place/remove.
 
-use dc_sim::ids::{AisleId, RowId, ServerId};
+use dc_sim::ids::{RowId, ServerId};
 use dc_sim::topology::Layout;
 use llm_sim::config::InstanceConfig;
 use serde::{Deserialize, Serialize};
@@ -191,52 +190,33 @@ impl FreeSet {
     }
 }
 
-/// Cached topology indices enabling O(1) row-mix and per-endpoint queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct TopologyCache {
-    /// Row index per server.
-    row_of: Vec<u32>,
-    /// Aisle index per server.
-    aisle_of: Vec<u32>,
-    /// `(iaas, saas)` VM counts per row, maintained incrementally.
-    row_mix: Vec<(u32, u32)>,
-}
-
 /// The assignment of VMs to servers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
     occupancy: Vec<Option<PlacedVm>>,
     by_vm: VmSlotMap,
     free: FreeSet,
-    topology: Option<TopologyCache>,
+    /// Row index per server.
+    row_of: Vec<u32>,
+    /// `(iaas, saas)` VM counts per row, maintained incrementally.
+    row_mix: Vec<(u32, u32)>,
     /// VM ids per endpoint (SaaS only), maintained incrementally; indexed by endpoint id.
     endpoint_vms: Vec<Vec<VmId>>,
 }
 
 impl ClusterState {
-    /// Creates an empty state for a cluster of `server_count` servers.
+    /// Creates an empty state for the servers of `layout`.
     #[must_use]
-    pub fn new(server_count: usize) -> Self {
+    pub fn with_layout(layout: &Layout) -> Self {
+        let server_count = layout.server_count();
         Self {
             occupancy: vec![None; server_count],
             by_vm: VmSlotMap::new(),
             free: FreeSet::all_free(server_count),
-            topology: None,
+            row_of: layout.servers().iter().map(|s| s.row.index() as u32).collect(),
+            row_mix: vec![(0, 0); layout.rows().len()],
             endpoint_vms: Vec::new(),
         }
-    }
-
-    /// Creates an empty state with cached topology indices, enabling O(1) [`Self::row_mix`]
-    /// queries on the placement hot path.
-    #[must_use]
-    pub fn with_layout(layout: &Layout) -> Self {
-        let mut state = Self::new(layout.server_count());
-        state.topology = Some(TopologyCache {
-            row_of: layout.servers().iter().map(|s| s.row.index() as u32).collect(),
-            aisle_of: layout.servers().iter().map(|s| s.aisle.index() as u32).collect(),
-            row_mix: vec![(0, 0); layout.rows().len()],
-        });
-        state
     }
 
     /// Number of servers.
@@ -306,12 +286,10 @@ impl ClusterState {
     }
 
     fn track_place(&mut self, vm: &Vm, server: ServerId) {
-        if let Some(topology) = &mut self.topology {
-            let row = topology.row_of[server.index()] as usize;
-            match vm.kind {
-                VmKind::Iaas { .. } => topology.row_mix[row].0 += 1,
-                VmKind::Saas { .. } => topology.row_mix[row].1 += 1,
-            }
+        let row = self.row_of[server.index()] as usize;
+        match vm.kind {
+            VmKind::Iaas { .. } => self.row_mix[row].0 += 1,
+            VmKind::Saas { .. } => self.row_mix[row].1 += 1,
         }
         if let VmKind::Saas { endpoint } = vm.kind {
             let index = endpoint.0 as usize;
@@ -323,12 +301,10 @@ impl ClusterState {
     }
 
     fn track_remove(&mut self, vm: &Vm, server: ServerId) {
-        if let Some(topology) = &mut self.topology {
-            let row = topology.row_of[server.index()] as usize;
-            match vm.kind {
-                VmKind::Iaas { .. } => topology.row_mix[row].0 -= 1,
-                VmKind::Saas { .. } => topology.row_mix[row].1 -= 1,
-            }
+        let row = self.row_of[server.index()] as usize;
+        match vm.kind {
+            VmKind::Iaas { .. } => self.row_mix[row].0 -= 1,
+            VmKind::Saas { .. } => self.row_mix[row].1 -= 1,
         }
         if let VmKind::Saas { endpoint } = vm.kind {
             if let Some(members) = self.endpoint_vms.get_mut(endpoint.0 as usize) {
@@ -391,46 +367,11 @@ impl ClusterState {
         Ok(())
     }
 
-    /// Counts `(iaas, saas)` VMs in a row.
-    ///
-    /// O(1) when the state was built [`Self::with_layout`]; otherwise scans the row.
+    /// Counts `(iaas, saas)` VMs in a row in O(1).
     #[must_use]
-    pub fn row_mix(&self, layout: &Layout, row: RowId) -> (usize, usize) {
-        if let Some(topology) = &self.topology {
-            let (iaas, saas) = topology.row_mix[row.index()];
-            return (iaas as usize, saas as usize);
-        }
-        let mut iaas = 0;
-        let mut saas = 0;
-        for &server in &layout.rows()[row.index()].servers {
-            if let Some(placed) = self.vm_on(server) {
-                match placed.vm.kind {
-                    VmKind::Iaas { .. } => iaas += 1,
-                    VmKind::Saas { .. } => saas += 1,
-                }
-            }
-        }
-        (iaas, saas)
-    }
-
-    /// VMs placed in an aisle.
-    #[must_use]
-    pub fn vms_in_aisle(&self, layout: &Layout, aisle: AisleId) -> Vec<&PlacedVm> {
-        layout.aisles()[aisle.index()]
-            .servers
-            .iter()
-            .filter_map(|&s| self.vm_on(s))
-            .collect()
-    }
-
-    /// VMs placed in a row.
-    #[must_use]
-    pub fn vms_in_row(&self, layout: &Layout, row: RowId) -> Vec<&PlacedVm> {
-        layout.rows()[row.index()]
-            .servers
-            .iter()
-            .filter_map(|&s| self.vm_on(s))
-            .collect()
+    pub fn row_mix(&self, row: RowId) -> (usize, usize) {
+        let (iaas, saas) = self.row_mix[row.index()];
+        (iaas as usize, saas as usize)
     }
 
     /// Retires every VM whose lifetime has expired at `now`, returning the retired VMs.
@@ -474,11 +415,16 @@ mod tests {
         }
     }
 
+    /// An empty state over the 8-server test layout (rows hold servers `0..4` and `4..8`).
+    fn small_state() -> ClusterState {
+        ClusterState::with_layout(&LayoutConfig::small_test_cluster().build())
+    }
+
     #[test]
     fn place_and_remove_round_trip() {
-        let mut state = ClusterState::new(4);
-        assert_eq!(state.server_count(), 4);
-        assert_eq!(state.free_servers().len(), 4);
+        let mut state = small_state();
+        assert_eq!(state.server_count(), 8);
+        assert_eq!(state.free_servers().len(), 8);
         state.place(vm(1, true), ServerId::new(2), 0.8, Some(InstanceConfig::default_70b())).unwrap();
         assert_eq!(state.placed_count(), 1);
         assert!(!state.is_free(ServerId::new(2)));
@@ -492,7 +438,7 @@ mod tests {
 
     #[test]
     fn double_placement_and_missing_removal_error() {
-        let mut state = ClusterState::new(2);
+        let mut state = small_state();
         state.place(vm(1, false), ServerId::new(0), 1.0, None).unwrap();
         assert_eq!(
             state.place(vm(2, false), ServerId::new(0), 1.0, None),
@@ -508,7 +454,7 @@ mod tests {
 
     #[test]
     fn set_config_updates_placed_vm() {
-        let mut state = ClusterState::new(2);
+        let mut state = small_state();
         state.place(vm(1, true), ServerId::new(0), 0.5, Some(InstanceConfig::default_70b())).unwrap();
         let new_config = InstanceConfig::small_fallback();
         state.set_config(VmId(1), new_config).unwrap();
@@ -518,41 +464,19 @@ mod tests {
 
     #[test]
     fn row_mix_counts_kinds() {
-        let layout = LayoutConfig::small_test_cluster().build();
-        let mut state = ClusterState::new(layout.server_count());
-        // Row 0 contains servers 0..4.
+        let mut state = small_state();
         state.place(vm(1, true), ServerId::new(0), 0.5, None).unwrap();
         state.place(vm(2, false), ServerId::new(1), 0.5, None).unwrap();
         state.place(vm(3, false), ServerId::new(4), 0.5, None).unwrap();
-        let (iaas, saas) = state.row_mix(&layout, RowId::new(0));
-        assert_eq!((iaas, saas), (1, 1));
-        let (iaas1, saas1) = state.row_mix(&layout, RowId::new(1));
-        assert_eq!((iaas1, saas1), (1, 0));
-        assert_eq!(state.vms_in_row(&layout, RowId::new(0)).len(), 2);
-        assert_eq!(state.vms_in_aisle(&layout, AisleId::new(0)).len(), 3);
-    }
-
-    #[test]
-    fn cached_row_mix_matches_scan() {
-        let layout = LayoutConfig::small_test_cluster().build();
-        let mut cached = ClusterState::with_layout(&layout);
-        let mut scanned = ClusterState::new(layout.server_count());
-        for (i, server) in [0usize, 1, 4, 6].into_iter().enumerate() {
-            let v = vm(i as u64, i % 2 == 0);
-            cached.place(v, ServerId::new(server), 0.5, None).unwrap();
-            scanned.place(v, ServerId::new(server), 0.5, None).unwrap();
-        }
-        cached.remove(VmId(1)).unwrap();
-        scanned.remove(VmId(1)).unwrap();
-        for row in layout.rows() {
-            assert_eq!(cached.row_mix(&layout, row.id), scanned.row_mix(&layout, row.id));
-        }
+        assert_eq!(state.row_mix(RowId::new(0)), (1, 1));
+        assert_eq!(state.row_mix(RowId::new(1)), (1, 0));
+        state.remove(VmId(1)).unwrap();
+        assert_eq!(state.row_mix(RowId::new(0)), (1, 0));
     }
 
     #[test]
     fn endpoint_instances_track_saas_membership() {
-        let layout = LayoutConfig::small_test_cluster().build();
-        let mut state = ClusterState::with_layout(&layout);
+        let mut state = small_state();
         state.place(vm(1, true), ServerId::new(0), 0.5, None).unwrap();
         state.place(vm(2, true), ServerId::new(1), 0.5, None).unwrap();
         state.place(vm(3, false), ServerId::new(2), 0.5, None).unwrap();
@@ -564,14 +488,16 @@ mod tests {
 
     #[test]
     fn free_set_iterates_in_id_order() {
-        let mut state = ClusterState::new(130);
+        // 160 servers: the free bitmap spans three words.
+        let layout = LayoutConfig { aisles: 2, ..LayoutConfig::real_cluster_two_rows() }.build();
+        let mut state = ClusterState::with_layout(&layout);
         state.place(vm(1, false), ServerId::new(0), 0.5, None).unwrap();
         state.place(vm(2, false), ServerId::new(64), 0.5, None).unwrap();
         state.place(vm(3, false), ServerId::new(129), 0.5, None).unwrap();
         assert_eq!(state.first_free(), Some(ServerId::new(1)));
-        assert_eq!(state.free_count(), 127);
+        assert_eq!(state.free_count(), 157);
         let free = state.free_servers();
-        assert_eq!(free.len(), 127);
+        assert_eq!(free.len(), 157);
         assert!(free.windows(2).all(|w| w[0] < w[1]), "free list must be ordered");
         assert!(!free.contains(&ServerId::new(64)));
         state.remove(VmId(1)).unwrap();
@@ -580,7 +506,7 @@ mod tests {
 
     #[test]
     fn retire_expired_removes_only_dead_vms() {
-        let mut state = ClusterState::new(3);
+        let mut state = small_state();
         let mut short = vm(1, false);
         short.lifetime = SimDuration::from_hours(1);
         state.place(short, ServerId::new(0), 0.5, None).unwrap();

@@ -19,7 +19,7 @@
 //!   utilization, memory-boundedness for both phases) used by the datacenter model and by the
 //!   TAPAS instance configurator, reproducing the orderings of Fig. 15.
 //! * [`pareto`] — the temperature/power vs goodput Pareto frontier of Fig. 16.
-//! * [`request`] — inference request descriptions and generators.
+//! * [`request`] — inference request descriptions and their length distribution.
 //! * [`batch`] — the request fabric's aggregate batch scheduler: continuous batching on an
 //!   integer-millisecond event clock with *incremental* KV-cache admission accounting
 //!   (prompt pinned at admission, +1 token per sequence per decode iteration, eviction on

@@ -1,9 +1,9 @@
-//! Inference requests and request generators.
+//! Inference requests and their length distribution.
 //!
 //! A request is a prompt of some length that generates some number of output tokens, sent by
-//! a customer (the customer identity matters for KV-cache-affinity routing, §4.5). The
-//! generator draws prompt/output lengths from log-normal distributions, matching the
-//! heavy-tailed shapes reported for production conversational traces.
+//! a customer (the customer identity matters for KV-cache-affinity routing, §4.5).
+//! [`RequestShape::sample`] draws prompt/output lengths from log-normal distributions,
+//! matching the heavy-tailed shapes reported for production conversational traces.
 
 use serde::{Deserialize, Serialize};
 use simkit::rng::SimRng;
@@ -69,61 +69,19 @@ impl Default for RequestShape {
     }
 }
 
-/// Generates requests with log-normally distributed shapes from a pool of customers.
-#[derive(Debug, Clone)]
-pub struct RequestGenerator {
-    shape: RequestShape,
-    customers: u64,
-    next_id: u64,
-    rng: SimRng,
-}
-
-impl RequestGenerator {
-    /// Creates a generator with `customers` distinct customers and a deterministic seed.
-    ///
-    /// # Panics
-    /// Panics if `customers` is zero.
-    #[must_use]
-    pub fn new(shape: RequestShape, customers: u64, seed: u64) -> Self {
-        assert!(customers > 0, "need at least one customer");
-        Self {
-            shape,
-            customers,
-            next_id: 0,
-            rng: SimRng::seed_from(seed).derive("requests"),
-        }
-    }
-
-    /// Generates one request arriving at `time`.
-    pub fn generate(&mut self, time: SimTime) -> InferenceRequest {
-        let prompt = self
-            .rng
-            .log_normal(self.shape.median_prompt_tokens.ln(), self.shape.prompt_sigma)
+impl RequestShape {
+    /// Draws one `(prompt, output)` length pair: the prompt, then the output (each at least
+    /// one token), then a proportional truncation to [`Self::max_total_tokens`].
+    pub fn sample(&self, rng: &mut SimRng) -> (usize, usize) {
+        let prompt = rng
+            .log_normal(self.median_prompt_tokens.ln(), self.prompt_sigma)
             .round()
             .max(1.0) as usize;
-        let output = self
-            .rng
-            .log_normal(self.shape.median_output_tokens.ln(), self.shape.output_sigma)
+        let output = rng
+            .log_normal(self.median_output_tokens.ln(), self.output_sigma)
             .round()
             .max(1.0) as usize;
-        let (prompt, output) = clamp_total(prompt, output, self.shape.max_total_tokens);
-        let customer = CustomerId(self.rng.next_u64() % self.customers);
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        InferenceRequest { id, customer, arrival: time, prompt_tokens: prompt, output_tokens: output }
-    }
-
-    /// Generates a Poisson batch of requests for one step of `step_minutes` minutes at an
-    /// average rate of `requests_per_minute`.
-    pub fn generate_step(
-        &mut self,
-        time: SimTime,
-        requests_per_minute: f64,
-        step_minutes: u64,
-    ) -> Vec<InferenceRequest> {
-        let mean = (requests_per_minute * step_minutes as f64).max(0.0);
-        let count = self.rng.poisson(mean);
-        (0..count).map(|_| self.generate(time)).collect()
+        clamp_total(prompt, output, self.max_total_tokens)
     }
 }
 
@@ -144,26 +102,28 @@ mod tests {
     use super::*;
     use simkit::stats;
 
+    fn prompts(seed: u64, count: usize) -> Vec<f64> {
+        let shape = RequestShape::default();
+        let mut rng = SimRng::seed_from(seed);
+        (0..count).map(|_| shape.sample(&mut rng).0 as f64).collect()
+    }
+
     #[test]
-    fn generated_requests_have_positive_lengths_and_unique_ids() {
-        let mut generator = RequestGenerator::new(RequestShape::default(), 100, 1);
-        let mut ids = std::collections::BTreeSet::new();
-        for i in 0..1000 {
-            let r = generator.generate(SimTime::from_minutes(i));
-            assert!(r.prompt_tokens >= 1);
-            assert!(r.output_tokens >= 1);
-            assert!(r.total_tokens() <= RequestShape::default().max_total_tokens);
-            assert!(r.customer.0 < 100);
-            assert!(ids.insert(r.id), "request ids must be unique");
+    fn sampled_lengths_are_positive_and_within_the_budget() {
+        let mut rng = SimRng::seed_from(1);
+        for max_total_tokens in [2, 64, 700, 8192] {
+            let shape = RequestShape { max_total_tokens, ..RequestShape::default() };
+            for _ in 0..1000 {
+                let (prompt, output) = shape.sample(&mut rng);
+                assert!(prompt >= 1 && output >= 1, "({prompt}, {output})");
+                assert!(prompt + output <= max_total_tokens, "({prompt}, {output})");
+            }
         }
     }
 
     #[test]
     fn median_prompt_length_matches_shape() {
-        let mut generator = RequestGenerator::new(RequestShape::default(), 10, 2);
-        let prompts: Vec<f64> = (0..5000)
-            .map(|_| generator.generate(SimTime::ZERO).prompt_tokens as f64)
-            .collect();
+        let prompts = prompts(2, 5000);
         let median = stats::percentile(&prompts, 50.0).unwrap();
         assert!((median - 512.0).abs() < 80.0, "median {median}");
         // The distribution is heavy-tailed: p99 well above the median.
@@ -172,28 +132,8 @@ mod tests {
     }
 
     #[test]
-    fn poisson_step_generation_matches_rate() {
-        let mut generator = RequestGenerator::new(RequestShape::default(), 10, 3);
-        let counts: Vec<f64> = (0..500)
-            .map(|i| {
-                generator
-                    .generate_step(SimTime::from_minutes(i * 5), 12.0, 5)
-                    .len() as f64
-            })
-            .collect();
-        let mean = stats::mean(&counts).unwrap();
-        assert!((mean - 60.0).abs() < 3.0, "mean {mean}");
-        // Zero rate produces zero requests.
-        assert!(generator.generate_step(SimTime::ZERO, 0.0, 5).is_empty());
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let mut a = RequestGenerator::new(RequestShape::default(), 10, 7);
-        let mut b = RequestGenerator::new(RequestShape::default(), 10, 7);
-        for i in 0..50 {
-            assert_eq!(a.generate(SimTime::from_minutes(i)), b.generate(SimTime::from_minutes(i)));
-        }
+        assert_eq!(prompts(7, 50), prompts(7, 50));
     }
 
     #[test]
@@ -204,11 +144,5 @@ mod tests {
         assert!(p >= 1 && o >= 1);
         let (p, o) = clamp_total(10_000, 1, 4096);
         assert!(p + o <= 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one customer")]
-    fn zero_customers_panics() {
-        let _ = RequestGenerator::new(RequestShape::default(), 0, 1);
     }
 }

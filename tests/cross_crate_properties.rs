@@ -17,7 +17,7 @@ use llm_sim::model::{ModelSize, ModelVariant, Quantization};
 use llm_sim::perf::PerfModel;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
-use tapas::placement::{PlacementRequest, TapasPlacement, VmPlacementPolicy};
+use tapas::placement::{PlacementPlanner, PlacementRequest, TapasPlacement};
 use tapas::state::ClusterState;
 use workload::endpoints::EndpointId;
 use workload::vm::{IaasCustomerId, Vm, VmId, VmKind};
@@ -92,7 +92,8 @@ fn allocator_respects_occupancy() {
     for case in 0..CASES {
         let vm_count = rng.uniform_usize(1, 8);
         let saas_mask = rng.next_u64();
-        let mut state = ClusterState::new(layout.server_count());
+        let mut state = ClusterState::with_layout(&layout);
+        let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
         for i in 0..vm_count {
             let load = rng.uniform(0.3, 1.0);
             let saas = (saas_mask >> (i % 8)) & 1 == 1;
@@ -107,10 +108,11 @@ fn allocator_respects_occupancy() {
                 lifetime: SimDuration::from_days(7),
             };
             let request = PlacementRequest { vm, predicted_peak_load: load };
-            let chosen = policy.place(&request, &state, &layout, &profiles);
+            let chosen = policy.place_with(&request, &state, &layout, &profiles, &mut planner);
             let server = chosen.expect("free servers remain");
             assert!(state.is_free(server), "case {case}: server {server} occupied");
             state.place(vm, server, load, None).expect("placement on a free server");
+            planner.on_place(server, load, &profiles);
         }
         assert_eq!(state.placed_count(), vm_count, "case {case}");
     }
@@ -279,7 +281,7 @@ fn dense_state_matches_btreemap_reference_model() {
                         }
                     }
                 }
-                assert_eq!(dense.row_mix(&layout, row.id), (iaas, saas), "case {case}");
+                assert_eq!(dense.row_mix(row.id), (iaas, saas), "case {case}");
             }
             for endpoint in 0..3u64 {
                 let expected: Vec<VmId> = reference
@@ -329,14 +331,19 @@ fn arrival_stream_fits_the_cluster() {
         5,
     );
     let policy = TapasPlacement::default();
-    let mut state = ClusterState::new(layout.server_count());
+    let mut state = ClusterState::with_layout(&layout);
+    let mut planner = PlacementPlanner::new(&state, &layout, &profiles, policy.config.design);
     let mut placed = 0;
     for vm in generator.generate(&catalog) {
-        state.retire_expired(vm.arrival);
+        for retired in state.retire_expired(vm.arrival) {
+            planner.on_remove(retired.server, retired.predicted_peak_load, &profiles);
+        }
         let request = PlacementRequest { vm, predicted_peak_load: 0.8 };
-        if let Some(server) = policy.place(&request, &state, &layout, &profiles) {
+        if let Some(server) = policy.place_with(&request, &state, &layout, &profiles, &mut planner)
+        {
             assert!(server.index() < layout.server_count());
             state.place(vm, server, 0.8, None).unwrap();
+            planner.on_place(server, 0.8, &profiles);
             placed += 1;
         }
     }
