@@ -15,9 +15,11 @@
 //!    RNG streams derived under the `"request-fabric"` label, so enabling the fabric
 //!    never perturbs the legacy per-step draws — fabric-off runs stay byte-identical.
 //! 2. **Ordering** ([`simkit::queue::EventQueue`]) — requests are delivered in
-//!    `(time, push-order)` order: a dense binary heap over integer timestamps with a
-//!    monotone sequence number breaking ties FIFO, so replay is deterministic for
-//!    millions of events without any per-event allocation.
+//!    `(time, push-order)` order: pushes append, and the first drain after an
+//!    out-of-order push sorts once in place by `(time, sequence)`, a monotone sequence
+//!    number breaking ties FIFO. The fleet sorts one step window per step; cell inboxes
+//!    are fed in time order and never sort. Replay is deterministic for millions of
+//!    events without any per-event allocation.
 //! 3. **Serving** ([`RequestFabric`]) — per endpoint, an aggregate continuous-batching
 //!    scheduler ([`llm_sim::batch::BatchScheduler`]) whose replica count tracks the
 //!    endpoint's placed instances and whose admission is bounded by KV-cache occupancy
@@ -419,9 +421,12 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic_and_stays_inside_the_step_window() {
-        let run = || {
-            let mut generator =
-                FabricGenerator::new(42, &catalog(), RequestFabricConfig::default());
+        let run = |rate_scale: f64| {
+            let config = RequestFabricConfig {
+                rate_scale,
+                ..RequestFabricConfig::default()
+            };
+            let mut generator = FabricGenerator::new(42, &catalog(), config);
             let mut queue = EventQueue::new();
             let timeline = timeline();
             for minute in [0u64, 5, 10] {
@@ -436,7 +441,7 @@ mod tests {
             queue.drain_until(u64::MAX, |t, r| events.push((t, r)));
             events
         };
-        let events = run();
+        let events = run(1.0);
         assert!(!events.is_empty(), "the smoke catalog generates traffic");
         assert!(events.windows(2).all(|p| p[0].0 <= p[1].0), "drained in time order");
         assert!(events.iter().all(|(t, _)| *t < 15 * MS_PER_MINUTE));
@@ -445,7 +450,13 @@ mod tests {
             r.prompt_tokens >= 1 && r.output_tokens >= 1 && total <= 8192
         }));
         // Ids are the queue's FIFO tie-break witness: same-run regeneration is identical.
-        assert_eq!(events, run());
+        assert_eq!(events, run(1.0));
+        // Ids are push order, so same-millisecond arrivals must drain with ascending ids.
+        // A dense stream makes such ties common.
+        let dense = run(100.0);
+        let ties: Vec<_> = dense.windows(2).filter(|p| p[0].0 == p[1].0).collect();
+        assert!(ties.len() > 100, "only {} tied pairs", ties.len());
+        assert!(ties.iter().all(|p| p[0].1.id < p[1].1.id));
     }
 
     #[test]

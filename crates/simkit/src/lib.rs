@@ -18,9 +18,10 @@
 //!   trace generators need (normal, log-normal, exponential, Pareto-like heavy tails).
 //! * [`events`] — a structured event log used by the cluster simulator to record thermal
 //!   and power capping events, with interned entity labels for hot recording paths.
-//! * [`queue`] — a deterministic binary-heap [`queue::EventQueue`] over integer
-//!   timestamps with FIFO tie-breaking, the ordering substrate for event-timestamped
-//!   streams such as the request fabric.
+//! * [`queue`] — a deterministic append-and-sort-once [`queue::EventQueue`] over
+//!   integer timestamps with FIFO tie-breaking (O(1) push and pop, at most one in-place
+//!   sort per out-of-order batch), the ordering substrate for event-timestamped streams
+//!   such as the request fabric.
 //!
 //! # Example
 //!

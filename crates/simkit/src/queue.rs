@@ -2,10 +2,10 @@
 //!
 //! The step loop works on fixed quanta, but the request fabric schedules *events*:
 //! millions of per-request arrivals per simulated day, each carrying an integer entity
-//! ordinal instead of a string label. [`EventQueue`] is the ordering substrate: a
-//! Vec-backed binary min-heap keyed by `(time, sequence)` where the sequence number is a
-//! monotonically increasing insertion counter. Ties on `time` therefore pop in insertion
-//! (FIFO) order, which makes the drain order a pure function of the push order — the
+//! ordinal instead of a string label. [`EventQueue`] is the ordering substrate. It pops
+//! in ascending `(time, sequence)` order, where the sequence number is a monotonically
+//! increasing insertion counter. Ties on `time` therefore pop in insertion (FIFO)
+//! order, which makes the drain order a pure function of the push order — the
 //! determinism rule every digest contract relies on.
 //!
 //! Timestamps are plain `u64`s in whatever unit the caller picks. The simulation clock
@@ -13,8 +13,19 @@
 //! *milliseconds* so sub-minute arrival interleavings stay exact without touching the
 //! clock type.
 //!
-//! The heap never shrinks and stores payloads inline, so a steady-state
-//! push/pop cycle performs zero allocations once the high-water mark is reached.
+//! # Cost model
+//!
+//! Events sit in a ring buffer in push order. `push` is an O(1) append; one earlier
+//! than the newest pending event marks the queue unsorted, and the next `pop` or
+//! `drain_until` sorts once in place by `(time, sequence)` — unique keys, so an unstable
+//! sort is exact and allocates no scratch buffer. Pops are O(1) off the front, and
+//! emptying the queue rewinds the ring, so a per-step fill and drain reuses the same
+//! pages. Payloads are inline and the buffer never shrinks: once at its high-water
+//! mark, a push/drain cycle allocates nothing.
+//!
+//! Interleaving out-of-order pushes with pops re-sorts at each such pop. No caller does
+//! this: the fleet sorts each step window once, while cell inboxes and trace preloads
+//! arrive in time order and never sort.
 //!
 //! # Examples
 //! ```
@@ -29,6 +40,8 @@
 //! assert_eq!(queue.pop(), None);
 //! ```
 
+use std::collections::VecDeque;
+
 /// One pending event: an integer timestamp plus an inline payload.
 #[derive(Debug, Clone)]
 struct Slot<T> {
@@ -37,21 +50,16 @@ struct Slot<T> {
     payload: T,
 }
 
-impl<T> Slot<T> {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// A deterministic binary min-heap of timestamped events.
+/// A deterministic queue of timestamped events.
 ///
 /// Pop order is ascending `(time, insertion sequence)`: earliest time first, and FIFO
 /// among events that share a timestamp.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    heap: Vec<Slot<T>>,
+    slots: VecDeque<Slot<T>>,
     next_seq: u64,
+    /// `true` while `slots` is in ascending `(time, seq)` order.
+    sorted: bool,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -64,99 +72,90 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self { heap: Vec::new(), next_seq: 0 }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` events before reallocating.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { heap: Vec::with_capacity(capacity), next_seq: 0 }
+        Self {
+            slots: VecDeque::with_capacity(capacity),
+            next_seq: 0,
+            sorted: true,
+        }
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len()
     }
 
     /// Returns `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.slots.is_empty()
     }
 
     /// Removes all pending events, keeping the allocation. The insertion counter is *not*
     /// reset, so FIFO tie-breaking stays globally consistent across reuse.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.slots.clear();
+        self.sorted = true;
     }
 
-    /// Timestamp of the earliest pending event, if any.
+    /// Timestamp of the earliest pending event, if any (a linear scan while unsorted).
     #[must_use]
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.first().map(|slot| slot.time)
+        if self.sorted {
+            self.slots.front().map(|slot| slot.time)
+        } else {
+            self.slots.iter().map(|slot| slot.time).min()
+        }
     }
 
     /// Schedules a payload at `time`.
     pub fn push(&mut self, time: u64, payload: T) {
+        if self.slots.back().is_some_and(|last| time < last.time) {
+            self.sorted = false;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Slot { time, seq, payload });
-        self.sift_up(self.heap.len() - 1);
+        self.slots.push_back(Slot { time, seq, payload });
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let slot = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        self.sort();
+        let slot = self.slots.pop_front()?;
+        self.rewind_if_empty();
         Some((slot.time, slot.payload))
     }
 
     /// Pops every event with `time <= deadline`, in deterministic order, into `visit`.
     pub fn drain_until(&mut self, deadline: u64, mut visit: impl FnMut(u64, T)) {
-        while self.peek_time().is_some_and(|t| t <= deadline) {
-            let (time, payload) = self.pop().expect("peeked event");
-            visit(time, payload);
+        self.sort();
+        let due = self.slots.partition_point(|slot| slot.time <= deadline);
+        for slot in self.slots.drain(..due) {
+            visit(slot.time, slot.payload);
+        }
+        self.rewind_if_empty();
+    }
+
+    /// Restores `(time, seq)` order after out-of-order pushes.
+    fn sort(&mut self) {
+        if !self.sorted {
+            self.slots
+                .make_contiguous()
+                .sort_unstable_by_key(|slot| (slot.time, slot.seq));
+            self.sorted = true;
         }
     }
 
-    fn sift_up(&mut self, mut index: usize) {
-        while index > 0 {
-            let parent = (index - 1) / 2;
-            if self.heap[index].key() < self.heap[parent].key() {
-                self.heap.swap(index, parent);
-                index = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut index: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * index + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let mut smallest = left;
-            if right < len && self.heap[right].key() < self.heap[left].key() {
-                smallest = right;
-            }
-            if self.heap[smallest].key() < self.heap[index].key() {
-                self.heap.swap(index, smallest);
-                index = smallest;
-            } else {
-                break;
-            }
+    /// Rewinds an empty ring (`VecDeque::clear` resets its head).
+    fn rewind_if_empty(&mut self) {
+        if self.slots.is_empty() {
+            self.slots.clear();
         }
     }
 }
@@ -236,6 +235,96 @@ mod tests {
             }
             assert_eq!(drained, reference);
         }
+    }
+
+    /// Pops the reference's earliest pending entries with `time <= deadline`. Stable
+    /// sorting the push-ordered reference by time yields the `(time, ordinal)` order.
+    fn reference_drain(reference: &mut Vec<(u64, usize)>, deadline: u64) -> Vec<(u64, usize)> {
+        reference.sort_by_key(|&(time, _)| time);
+        let due = reference.partition_point(|&(time, _)| time <= deadline);
+        reference.drain(..due).collect()
+    }
+
+    #[test]
+    fn interleaved_operations_match_a_stable_sorted_reference() {
+        let mut rng = SimRng::seed_from(14);
+        for _ in 0..200 {
+            let mut queue = EventQueue::new();
+            let mut reference: Vec<(u64, usize)> = Vec::new();
+            let mut ordinal = 0usize;
+            let mut push = |queue: &mut EventQueue<usize>, reference: &mut Vec<_>, time| {
+                queue.push(time, ordinal);
+                reference.push((time, ordinal));
+                ordinal += 1;
+            };
+            for _ in 0..rng.uniform_usize(10, 60) {
+                // Times stay in a narrow range so ties are common.
+                let newest = reference.iter().map(|&(time, _)| time).max().unwrap_or(0);
+                match rng.uniform_usize(0, 7) {
+                    0 => {
+                        // An in-order run from the newest pending time, with repeats,
+                        // never marks a sorted queue unsorted.
+                        let was_sorted = queue.sorted;
+                        let mut time = newest;
+                        for _ in 0..rng.uniform_usize(1, 30) {
+                            time += rng.uniform_usize(0, 3) as u64;
+                            push(&mut queue, &mut reference, time);
+                        }
+                        assert_eq!(queue.sorted, was_sorted);
+                    }
+                    1 => {
+                        for _ in 0..rng.uniform_usize(1, 30) {
+                            let time = rng.uniform_usize(0, 40) as u64;
+                            push(&mut queue, &mut reference, time);
+                        }
+                        let earliest = reference.iter().map(|&(time, _)| time).min();
+                        assert_eq!(queue.peek_time(), earliest);
+                    }
+                    2 => {
+                        reference.sort_by_key(|&(time, _)| time);
+                        let expected = (!reference.is_empty()).then(|| reference.remove(0));
+                        assert_eq!(queue.pop(), expected);
+                    }
+                    3 | 4 => {
+                        let deadline = rng.uniform_usize(0, 50) as u64;
+                        let mut drained = Vec::new();
+                        queue.drain_until(deadline, |time, payload| drained.push((time, payload)));
+                        assert_eq!(drained, reference_drain(&mut reference, deadline));
+                    }
+                    5 => {
+                        queue.clear();
+                        reference.clear();
+                        assert!(queue.sorted);
+                    }
+                    _ => {
+                        let mut drained = Vec::new();
+                        queue.drain_until(u64::MAX, |time, payload| drained.push((time, payload)));
+                        assert_eq!(drained, reference_drain(&mut reference, u64::MAX));
+                        for _ in 0..rng.uniform_usize(1, 30) {
+                            let time = rng.uniform_usize(0, 40) as u64;
+                            push(&mut queue, &mut reference, time);
+                        }
+                    }
+                }
+                assert_eq!(queue.len(), reference.len());
+                assert_eq!(queue.is_empty(), reference.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn emptying_rewinds_the_ring() {
+        let mut queue = EventQueue::with_capacity(8);
+        for t in 0..5u64 {
+            queue.push(t, t);
+        }
+        queue.drain_until(2, |_, _| {});
+        while queue.pop().is_some() {}
+        for t in 0..queue.slots.capacity() as u64 {
+            queue.push(t, t);
+        }
+        // A ring left at its old head would wrap this refill into two slices.
+        assert!(queue.slots.as_slices().1.is_empty());
     }
 
     #[test]
