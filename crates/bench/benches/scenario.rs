@@ -4,7 +4,6 @@
 
 use cluster_sim::scenario::Scenario;
 use criterion::{criterion_group, criterion_main, Criterion};
-use dc_sim::failures::FailureSchedule;
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use workload::endpoints::EndpointId;
@@ -37,24 +36,15 @@ fn bench_scenario(c: &mut Criterion) {
     let scenario = week_scenario();
     let duration = SimTime::from_days(7);
     let step = SimDuration::from_minutes(5);
-    let failures = FailureSchedule::none();
 
     // One site's full dense resolution: 2017 steps × (temp, price, demand) plus the
-    // merged failure schedule — what every fleet cell pays once at build time.
+    // site's failure schedule — what every fleet cell pays once at build time.
     c.bench_function("scenario_resolve_week_5min", |b| {
-        b.iter(|| {
-            black_box(scenario.resolve(
-                black_box(0),
-                duration,
-                step,
-                10,
-                &failures,
-            ))
-        })
+        b.iter(|| black_box(scenario.resolve(black_box(0), duration, step, 10)))
     });
 
     // Steady-state per-step queries (the hot-path side of the contract: index math only).
-    let timeline = scenario.resolve(0, duration, step, 10, &failures);
+    let timeline = scenario.resolve(0, duration, step, 10);
     c.bench_function("scenario_timeline_queries_per_step", |b| {
         let now = SimTime::from_hours(51);
         b.iter(|| {

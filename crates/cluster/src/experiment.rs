@@ -9,7 +9,6 @@
 //! [`ScenarioError`] instead of panicking.
 
 use crate::scenario::{ResolvedTimeline, Scenario, ScenarioError};
-use dc_sim::failures::FailureSchedule;
 use dc_sim::topology::LayoutConfig;
 use dc_sim::weather::Climate;
 use serde::{Deserialize, Serialize};
@@ -20,9 +19,9 @@ use workload::endpoints::EndpointCatalog;
 use workload::vm::Vm;
 
 /// Tunables of the per-request serving fabric (see `crate::fabric`). The fabric is
-/// opt-in: [`ExperimentConfig::request_fabric`] is `None` by default and every legacy
-/// code path (RNG draws, report bytes, digests) is untouched until it is enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// opt-in: [`ExperimentConfig::request_fabric`] is `None` by default and the quantum
+/// serving path's RNG draws are untouched until it is enabled.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestFabricConfig {
     /// Scales the generated request rate relative to the endpoint catalog's diurnal
     /// per-VM peak rates (`1.0` = the catalog's calibrated demand).
@@ -54,53 +53,11 @@ impl Default for RequestFabricConfig {
     }
 }
 
-// Hand-written serde: the fault-tolerance knobs are emitted only when they differ from
-// the defaults, so every fabric-enabled artifact pinned before they existed keeps its
-// exact bytes, and old artifacts (which lack the keys) still load.
-impl Serialize for RequestFabricConfig {
-    fn to_value(&self) -> serde::Value {
-        let defaults = Self::default();
-        let mut entries = vec![
-            (String::from("rate_scale"), self.rate_scale.to_value()),
-            (String::from("slo_multiplier"), self.slo_multiplier.to_value()),
-        ];
-        if self.deadline_shedding != defaults.deadline_shedding {
-            entries.push((String::from("deadline_shedding"), self.deadline_shedding.to_value()));
-        }
-        if self.max_retries != defaults.max_retries {
-            entries.push((String::from("max_retries"), self.max_retries.to_value()));
-        }
-        if self.backoff_base_ms != defaults.backoff_base_ms {
-            entries.push((String::from("backoff_base_ms"), self.backoff_base_ms.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for RequestFabricConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let defaults = Self::default();
-        Ok(Self {
-            rate_scale: Deserialize::from_value(value.get("rate_scale")?)?,
-            slo_multiplier: Deserialize::from_value(value.get("slo_multiplier")?)?,
-            deadline_shedding: match value.get("deadline_shedding") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => defaults.deadline_shedding,
-            },
-            max_retries: match value.get("max_retries") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => defaults.max_retries,
-            },
-            backoff_base_ms: match value.get("backoff_base_ms") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => defaults.backoff_base_ms,
-            },
-        })
-    }
-}
-
 /// Everything that defines one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The serialized encoding is the derived field shape: every field is written, `None`
+/// as `null`, and every key is required on load.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Physical layout of the datacenter.
     pub layout: LayoutConfig,
@@ -125,89 +82,18 @@ pub struct ExperimentConfig {
     /// day; arrival-driven scenarios (e.g. fleet geo-routing studies) raise it so load
     /// builds over the horizon instead of arriving entirely at time zero.
     pub arrivals_per_day: Option<f64>,
-    /// Infrastructure failures to inject. Legacy shortcut kept for pinned artifacts: the
-    /// windows merge into the resolved scenario timeline, so `failures` and
-    /// `scenario` failure events behave identically. New code should prefer
-    /// [`Scenario`] events (site-targetable, validated).
-    pub failures: FailureSchedule,
     /// The typed event timeline this experiment runs under (weather episodes,
-    /// grid-price curves, failures, demand shaping). The default empty scenario
-    /// reproduces the pre-scenario behaviour bit for bit. For fleets this is shared
-    /// fleet-wide with per-site targeting; [`FleetConfig::site_experiment`] hands each
-    /// cell its single-site view.
+    /// grid-price curves, infrastructure failures, demand shaping) — the only place
+    /// failures are injected (see [`Scenario::power_emergency`] and
+    /// [`Scenario::thermal_emergency`]). The default empty scenario is a neutral
+    /// timeline. For fleets this is shared fleet-wide with per-site targeting;
+    /// [`FleetConfig::site_experiment`] hands each cell its single-site view.
     pub scenario: Scenario,
     /// Random seed (drives weather, arrivals, request shapes and per-entity offsets).
     pub seed: u64,
-    /// Per-request serving fabric, off by default. `None` keeps the run byte-identical
-    /// to a build without the fabric subsystem.
+    /// Per-request serving fabric, off by default. When enabled it draws from its own
+    /// RNG streams, so the quantum path's draws stay unchanged.
     pub request_fabric: Option<RequestFabricConfig>,
-}
-
-// Hand-written serde on both sides. Serialize: the vendored derive writes `Option` as
-// `null`, which would insert a `request_fabric` key into every artifact and break the
-// pinned pre-fabric goldens — so the key is emitted only when the fabric is enabled,
-// with every pre-existing field in declaration order exactly as the derive wrote it.
-impl Serialize for ExperimentConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            (String::from("layout"), self.layout.to_value()),
-            (String::from("policy"), self.policy.to_value()),
-            (String::from("saas_fraction"), self.saas_fraction.to_value()),
-            (String::from("climate"), self.climate.to_value()),
-            (String::from("duration"), self.duration.to_value()),
-            (String::from("step"), self.step.to_value()),
-            (String::from("endpoint_count"), self.endpoint_count.to_value()),
-            (
-                String::from("requests_per_vm_per_minute"),
-                self.requests_per_vm_per_minute.to_value(),
-            ),
-            (String::from("initial_occupancy"), self.initial_occupancy.to_value()),
-            (String::from("arrivals_per_day"), self.arrivals_per_day.to_value()),
-            (String::from("failures"), self.failures.to_value()),
-            (String::from("scenario"), self.scenario.to_value()),
-            (String::from("seed"), self.seed.to_value()),
-        ];
-        if let Some(fabric) = &self.request_fabric {
-            entries.push((String::from("request_fabric"), fabric.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-// Deserialize is hand-written (the other configs use the derive) so experiment artifacts
-// serialized before `arrivals_per_day` / `scenario` / `request_fabric` existed still
-// load: the vendored derive rejects a missing key, but these fields must default for
-// backward compatibility.
-impl Deserialize for ExperimentConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            layout: Deserialize::from_value(value.get("layout")?)?,
-            policy: Deserialize::from_value(value.get("policy")?)?,
-            saas_fraction: Deserialize::from_value(value.get("saas_fraction")?)?,
-            climate: Deserialize::from_value(value.get("climate")?)?,
-            duration: Deserialize::from_value(value.get("duration")?)?,
-            step: Deserialize::from_value(value.get("step")?)?,
-            endpoint_count: Deserialize::from_value(value.get("endpoint_count")?)?,
-            requests_per_vm_per_minute: Deserialize::from_value(
-                value.get("requests_per_vm_per_minute")?,
-            )?,
-            initial_occupancy: Deserialize::from_value(value.get("initial_occupancy")?)?,
-            arrivals_per_day: match value.get("arrivals_per_day") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => None,
-            },
-            failures: Deserialize::from_value(value.get("failures")?)?,
-            scenario: match value.get("scenario") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => Scenario::default(),
-            },
-            seed: Deserialize::from_value(value.get("seed")?)?,
-            request_fabric: match value.get("request_fabric") {
-                Ok(field) => Some(Deserialize::from_value(field)?),
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl ExperimentConfig {
@@ -226,7 +112,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 12.0,
             initial_occupancy: 0.9,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 42,
             request_fabric: None,
@@ -248,7 +133,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 170.0,
             initial_occupancy: 0.95,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 7,
             request_fabric: None,
@@ -270,7 +154,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 170.0,
             initial_occupancy: 0.92,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 11,
             request_fabric: None,
@@ -292,7 +175,6 @@ impl ExperimentConfig {
             requests_per_vm_per_minute: 170.0,
             initial_occupancy: 0.92,
             arrivals_per_day: None,
-            failures: FailureSchedule::none(),
             scenario: Scenario::default(),
             seed: 13,
             request_fabric: None,
@@ -356,14 +238,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the legacy failure schedule (prefer scenario failure events; both merge into
-    /// the same resolved timeline).
-    #[must_use]
-    pub fn with_failures(mut self, failures: FailureSchedule) -> Self {
-        self.failures = failures;
-        self
-    }
-
     /// Composes a scenario into the experiment.
     #[must_use]
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
@@ -404,17 +278,11 @@ impl ExperimentConfig {
         Ok(())
     }
 
-    /// Resolves the composed scenario (and the legacy failure schedule it subsumes) into
-    /// the dense per-step timeline this experiment runs under, viewed as site 0.
+    /// Resolves the composed scenario into the dense per-step timeline this experiment
+    /// runs under, viewed as site 0.
     #[must_use]
     pub fn resolved_timeline(&self) -> ResolvedTimeline {
-        self.scenario.resolve(
-            0,
-            self.duration,
-            self.step,
-            self.endpoint_count.max(1),
-            &self.failures,
-        )
+        self.scenario.resolve(0, self.duration, self.step, self.endpoint_count.max(1))
     }
 
     /// Adds extra servers beyond the provisioned budgets to model oversubscription (Fig. 21):
@@ -783,40 +651,32 @@ mod tests {
 
     #[test]
     fn experiment_config_round_trips_through_json() {
-        let mut config = ExperimentConfig::production_week(Policy::PlaceRoute);
-        config.failures = FailureSchedule::none()
-            .with_power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        let emergency = Scenario::power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        let config =
+            ExperimentConfig::production_week(Policy::PlaceRoute).with_scenario(emergency);
         let json = serde_json::to_string(&config).expect("serialize");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
     }
 
     #[test]
-    fn configs_serialized_before_the_arrivals_field_still_deserialize() {
-        let config = ExperimentConfig::small_smoke_test();
-        let json = serde_json::to_string(&config).expect("serialize");
-        // A pre-fleet-layer artifact has no `arrivals_per_day` key at all, and a
-        // pre-scenario artifact no `scenario` key either.
-        let legacy = json
-            .replace("\"arrivals_per_day\":null,", "")
-            .replace(&format!("\"scenario\":{},", scenario_json(&config.scenario)), "");
-        assert_ne!(legacy, json, "test must actually strip the fields");
-        assert!(!legacy.contains("scenario"), "scenario key must be stripped");
-        let back: ExperimentConfig = serde_json::from_str(&legacy).expect("deserialize");
-        assert_eq!(back, config);
-    }
-
-    fn scenario_json(scenario: &Scenario) -> String {
-        serde_json::to_string(scenario).expect("serialize scenario")
+    fn configs_missing_a_key_fail_to_deserialize() {
+        let json = serde_json::to_string(&ExperimentConfig::small_smoke_test()).expect("serialize");
+        for key in ["arrivals_per_day", "scenario", "request_fabric"] {
+            let mut value: serde::Value = serde_json::from_str(&json).expect("parse");
+            let serde::Value::Map(fields) = &mut value else { panic!("config is a map") };
+            fields.retain(|(k, _)| k != key);
+            let stripped = serde_json::to_string(&value).expect("serialize");
+            let error = serde_json::from_str::<ExperimentConfig>(&stripped).unwrap_err();
+            assert!(error.to_string().contains(key), "{error}");
+        }
     }
 
     #[test]
-    fn disabled_fabric_leaves_config_artifacts_byte_free_of_the_key() {
-        // The opt-in field must be invisible in pre-fabric artifacts: pinned goldens
-        // serialized before the fabric existed stay bit-identical.
+    fn disabled_fabric_serializes_as_null_and_round_trips() {
         let config = ExperimentConfig::small_smoke_test();
         let json = serde_json::to_string(&config).expect("serialize");
-        assert!(!json.contains("request_fabric"), "disabled fabric must not serialize");
+        assert!(json.ends_with(",\"seed\":42,\"request_fabric\":null}"), "{json}");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
     }
@@ -827,13 +687,16 @@ mod tests {
             RequestFabricConfig { rate_scale: 2.5, ..RequestFabricConfig::default() },
         );
         let json = serde_json::to_string(&config).expect("serialize");
-        assert!(json.ends_with("\"request_fabric\":{\"rate_scale\":2.5,\"slo_multiplier\":5}}"));
+        assert!(json.ends_with(
+            "\"request_fabric\":{\"rate_scale\":2.5,\"slo_multiplier\":5,\
+             \"deadline_shedding\":false,\"max_retries\":3,\"backoff_base_ms\":256}}"
+        ));
         let back: ExperimentConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, config);
     }
 
     #[test]
-    fn fault_policy_knobs_serialize_only_when_non_default_and_round_trip() {
+    fn fault_policy_knobs_round_trip_through_json() {
         let config = ExperimentConfig::small_smoke_test().with_request_fabric(
             RequestFabricConfig {
                 deadline_shedding: true,
@@ -899,20 +762,6 @@ mod tests {
             .events
             .iter()
             .all(|e| e.site() == crate::scenario::SiteSelector::All));
-    }
-
-    #[test]
-    fn legacy_failures_and_scenario_events_merge_in_the_resolved_timeline() {
-        let start = SimTime::from_minutes(30);
-        let end = SimTime::from_minutes(90);
-        let config = ExperimentConfig::small_smoke_test()
-            .with_failures(FailureSchedule::none().with_power_emergency(start, end))
-            .with_scenario(Scenario::thermal_emergency(start, end));
-        let timeline = config.resolved_timeline();
-        assert_eq!(timeline.failures().windows().len(), 2);
-        let state = timeline.failures().state_at(SimTime::from_minutes(60));
-        assert!((state.global_cooling_fraction - 0.9).abs() < 1e-12);
-        assert_eq!(state.failed_upses().len(), 1);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    with an integer-*millisecond* event time uniform within the step and a log-normal
 //!    prompt/output shape (the [`workload`] request-shape calibration). Draws come from
 //!    RNG streams derived under the `"request-fabric"` label, so enabling the fabric
-//!    never perturbs the legacy per-step draws — fabric-off runs stay byte-identical.
+//!    never perturbs the quantum path's per-step draws — fabric-off runs simulate
+//!    exactly as without the fabric.
 //! 2. **Ordering** ([`simkit::queue::EventQueue`]) — requests are delivered in
 //!    `(time, push-order)` order: pushes append, and the first drain after an
 //!    out-of-order push sorts once in place by `(time, sequence)`, a monotone sequence

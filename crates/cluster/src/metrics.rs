@@ -130,20 +130,6 @@ pub struct LifecycleMetrics {
 }
 
 impl LifecycleMetrics {
-    /// `true` when any fault-tolerance path fired (preemption, eviction, retry, timeout
-    /// or shedding). Failure-free runs stay `false`, which is what gates the
-    /// `lifecycle` key out of their serialized artifacts.
-    #[must_use]
-    pub fn has_faults(&self) -> bool {
-        self.preemptions > 0
-            || self.evicted_tokens > 0
-            || self.wasted_prefill_tokens > 0
-            || self.wasted_decode_tokens > 0
-            || self.retries > 0
-            || self.timeouts > 0
-            || self.shed > 0
-    }
-
     /// Goodput over throughput: the fraction of produced output tokens that also met
     /// the headline SLO. `1.0` when nothing completed.
     #[must_use]
@@ -175,7 +161,7 @@ impl LifecycleMetrics {
 /// SLO attainment curves sampled at [`SLO_CURVE_MULTIPLIERS`]. Sites merge losslessly
 /// (fixed bucket edges, cumulative curve counters), which is how the fleet-level curves
 /// are produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestMetrics {
     /// Requests that ran to completion.
     pub completed: u64,
@@ -195,44 +181,6 @@ pub struct RequestMetrics {
     /// Request-lifecycle accounting (arrivals, preemptions, wasted work, shed/timeout
     /// outcomes, goodput split).
     pub lifecycle: LifecycleMetrics,
-}
-
-// Hand-written serde: the `lifecycle` key is emitted only when a fault-tolerance path
-// actually fired. Failure-free fabric runs therefore serialize byte-identically to the
-// pre-lifecycle format (the pinned golden artifact), and old artifacts deserialize with
-// a default (all-zero) lifecycle block.
-impl Serialize for RequestMetrics {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            (String::from("completed"), self.completed.to_value()),
-            (String::from("ttft"), self.ttft.to_value()),
-            (String::from("tbt"), self.tbt.to_value()),
-            (String::from("ttft_curve"), self.ttft_curve.to_value()),
-            (String::from("tbt_curve"), self.tbt_curve.to_value()),
-            (String::from("joint_curve"), self.joint_curve.to_value()),
-        ];
-        if self.lifecycle.has_faults() {
-            entries.push((String::from("lifecycle"), self.lifecycle.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for RequestMetrics {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            completed: Deserialize::from_value(value.get("completed")?)?,
-            ttft: Deserialize::from_value(value.get("ttft")?)?,
-            tbt: Deserialize::from_value(value.get("tbt")?)?,
-            ttft_curve: Deserialize::from_value(value.get("ttft_curve")?)?,
-            tbt_curve: Deserialize::from_value(value.get("tbt_curve")?)?,
-            joint_curve: Deserialize::from_value(value.get("joint_curve")?)?,
-            lifecycle: match value.get("lifecycle") {
-                Ok(field) => Deserialize::from_value(field)?,
-                Err(_) => LifecycleMetrics::default(),
-            },
-        })
-    }
 }
 
 impl Default for RequestMetrics {
@@ -356,7 +304,10 @@ impl RequestMetrics {
 }
 
 /// Everything a simulation run records.
-#[derive(Debug, Clone)]
+///
+/// The serialized encoding is the derived field shape: every field is written, a
+/// fabric-less run's `request_fabric` as `null`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     /// The policy label the run used.
     pub policy: String,
@@ -387,62 +338,8 @@ pub struct RunReport {
     /// Requests that violated their latency SLO.
     pub slo_violations: u64,
     /// Per-request serving metrics, present only when the run had the request fabric
-    /// enabled (`None` keeps pre-fabric report artifacts byte-identical).
+    /// enabled.
     pub request_fabric: Option<RequestMetrics>,
-}
-
-// Hand-written serde: the vendored derive writes `Option` as `null`, which would insert
-// a `request_fabric` key into every report artifact and change the pinned pre-fabric
-// digests — so the key is emitted only when the fabric ran, with every pre-existing
-// field in declaration order exactly as the derive wrote it.
-impl Serialize for RunReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            (String::from("policy"), self.policy.to_value()),
-            (String::from("horizon"), self.horizon.to_value()),
-            (String::from("step"), self.step.to_value()),
-            (String::from("max_gpu_temp"), self.max_gpu_temp.to_value()),
-            (String::from("peak_row_power"), self.peak_row_power.to_value()),
-            (String::from("datacenter_power"), self.datacenter_power.to_value()),
-            (String::from("saas_utilization"), self.saas_utilization.to_value()),
-            (String::from("row_power_budget_kw"), self.row_power_budget_kw.to_value()),
-            (String::from("gpu_throttle_temp_c"), self.gpu_throttle_temp_c.to_value()),
-            (String::from("events"), self.events.to_value()),
-            (String::from("latency_factors"), self.latency_factors.to_value()),
-            (String::from("request_quality"), self.request_quality.to_value()),
-            (String::from("requests_served"), self.requests_served.to_value()),
-            (String::from("slo_violations"), self.slo_violations.to_value()),
-        ];
-        if let Some(fabric) = &self.request_fabric {
-            entries.push((String::from("request_fabric"), fabric.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for RunReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            policy: Deserialize::from_value(value.get("policy")?)?,
-            horizon: Deserialize::from_value(value.get("horizon")?)?,
-            step: Deserialize::from_value(value.get("step")?)?,
-            max_gpu_temp: Deserialize::from_value(value.get("max_gpu_temp")?)?,
-            peak_row_power: Deserialize::from_value(value.get("peak_row_power")?)?,
-            datacenter_power: Deserialize::from_value(value.get("datacenter_power")?)?,
-            saas_utilization: Deserialize::from_value(value.get("saas_utilization")?)?,
-            row_power_budget_kw: Deserialize::from_value(value.get("row_power_budget_kw")?)?,
-            gpu_throttle_temp_c: Deserialize::from_value(value.get("gpu_throttle_temp_c")?)?,
-            events: Deserialize::from_value(value.get("events")?)?,
-            latency_factors: Deserialize::from_value(value.get("latency_factors")?)?,
-            request_quality: Deserialize::from_value(value.get("request_quality")?)?,
-            requests_served: Deserialize::from_value(value.get("requests_served")?)?,
-            slo_violations: Deserialize::from_value(value.get("slo_violations")?)?,
-            request_fabric: match value.get("request_fabric") {
-                Ok(field) => Some(Deserialize::from_value(field)?),
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl RunReport {
@@ -845,10 +742,7 @@ mod tests {
     fn serde_round_trip() {
         let report = report_with_data();
         let json = serde_json::to_string(&report).unwrap();
-        assert!(
-            !json.contains("request_fabric"),
-            "fabric-less reports must not grow a fabric key"
-        );
+        assert!(json.ends_with(",\"request_fabric\":null}"), "{json}");
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.policy, report.policy);
         assert_eq!(back.requests_served, report.requests_served);
@@ -892,22 +786,19 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_block_is_gated_on_fault_activity_and_merges_losslessly() {
+    fn lifecycle_block_round_trips_and_merges_losslessly() {
         let mut metrics = RequestMetrics::new();
         metrics.record(80.0, 9.0, 0.1, 0.01);
         metrics.lifecycle.arrived = 5;
         metrics.lifecycle.in_flight_at_horizon = 4;
         metrics.record_tokens(120, true);
-        // Arrivals, in-flight and token counters alone never emit the key: they are
-        // non-zero in failure-free runs, whose artifacts must stay byte-identical.
-        assert!(!metrics.lifecycle.has_faults());
+        // Fault-free metrics still write the block, all fault counters at zero.
         let json = serde_json::to_string(&metrics).unwrap();
-        assert!(!json.contains("lifecycle"), "{json}");
+        assert!(json.contains("\"lifecycle\":{\"arrived\":5,\"preemptions\":0,"), "{json}");
         let back: RequestMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.lifecycle, LifecycleMetrics::default());
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(back, metrics);
 
-        // Any fault counter flips the gate and the block round-trips losslessly.
+        // Every fault counter round-trips losslessly.
         metrics.lifecycle.preemptions = 2;
         metrics.lifecycle.evicted_tokens = 900;
         metrics.lifecycle.wasted_prefill_tokens = 800;
@@ -916,9 +807,7 @@ mod tests {
         metrics.lifecycle.timeouts = 1;
         metrics.lifecycle.shed = 3;
         metrics.record_tokens(40, false);
-        assert!(metrics.lifecycle.has_faults());
         let json = serde_json::to_string(&metrics).unwrap();
-        assert!(json.contains("\"lifecycle\":{\"arrived\":5,"), "{json}");
         let back: RequestMetrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back, metrics);
         assert!((back.lifecycle.goodput_fraction() - 120.0 / 160.0).abs() < 1e-12);

@@ -15,7 +15,7 @@
 //!   [`tapas::geo::SiteSignals::grid_price_per_mwh`] so placement can weigh energy cost
 //!   alongside power headroom and thermal slack.
 //! * **Infrastructure failures** — generalizes [`dc_sim::failures::FailureSchedule`] with
-//!   per-site targeting; scenario failure windows merge with a config's legacy schedule.
+//!   per-site targeting; scenario failure events are the only way a run injects failures.
 //! * **Demand shaping** — multiplicative surges on SaaS request rates, fleet-wide or per
 //!   endpoint (trace replay enters through
 //!   [`crate::simulator::ClusterSimulator::with_arrivals`]).
@@ -29,7 +29,7 @@
 //!
 //! Before a run starts the scenario is *resolved* once into a [`ResolvedTimeline`]: dense
 //! per-step vectors (temperature offset, grid price, demand multipliers) indexed by step
-//! ordinal, plus the merged failure schedule. The per-step hot path then performs only
+//! ordinal, plus the site's failure schedule. The per-step hot path then performs only
 //! index math — no maps, no allocation — per the dense-telemetry contract. Resolution is
 //! a pure function of the scenario (no RNG): events apply in insertion order, weather
 //! offsets accumulate additively, demand multipliers multiplicatively, price events
@@ -569,10 +569,9 @@ impl Scenario {
     /// Resolves the scenario into dense per-step vectors for one site. Pure (no RNG) and
     /// run once per simulator build; the per-step hot path only indexes the result.
     ///
-    /// `legacy_failures` is the config-level [`FailureSchedule`] the scenario subsumes:
-    /// its windows come first, then the scenario's failure events in timeline order (the
-    /// collapse semantics of [`dc_sim::failures::FailureState`] make the order
-    /// irrelevant to the outcome).
+    /// The failure schedule starts empty and collects the site's failure events in
+    /// timeline order (the collapse semantics of [`dc_sim::failures::FailureState`] make
+    /// the order irrelevant to the outcome).
     #[must_use]
     pub fn resolve(
         &self,
@@ -580,7 +579,6 @@ impl Scenario {
         duration: SimTime,
         step: SimDuration,
         endpoint_count: usize,
-        legacy_failures: &FailureSchedule,
     ) -> ResolvedTimeline {
         let step_minutes = step.as_minutes().max(1);
         let steps = step_count(duration, step_minutes);
@@ -593,7 +591,7 @@ impl Scenario {
             power_cap: vec![1.0; steps],
             endpoint_scale: Vec::new(),
             endpoint_count,
-            failures: legacy_failures.clone(),
+            failures: FailureSchedule::none(),
             replica_failures: Vec::new(),
         };
         for event in self.events.iter().filter(|e| e.site().matches(site)) {
@@ -1009,7 +1007,7 @@ impl ResolvedTimeline {
         self.power_cap.iter().filter(|&&f| f < 1.0).count() as u64 * self.step_minutes
     }
 
-    /// The merged failure schedule (legacy config windows plus scenario failure events).
+    /// The site's failure schedule (the scenario's failure events).
     #[must_use]
     pub fn failures(&self) -> &FailureSchedule {
         &self.failures
@@ -1072,13 +1070,7 @@ mod tests {
     }
 
     fn resolve(scenario: &Scenario, site: usize) -> ResolvedTimeline {
-        scenario.resolve(
-            site,
-            SimTime::from_hours(2),
-            SimDuration::from_minutes(5),
-            4,
-            &FailureSchedule::none(),
-        )
+        scenario.resolve(site, SimTime::from_hours(2), SimDuration::from_minutes(5), 4)
     }
 
     #[test]
@@ -1146,27 +1138,21 @@ mod tests {
     }
 
     #[test]
-    fn failure_events_merge_with_the_legacy_schedule() {
-        let legacy =
-            FailureSchedule::none().with_power_emergency(t(0), t(20));
+    fn failure_events_merge_into_one_schedule() {
         let scenario = Scenario::builder()
+            .fail_ups(SiteSelector::All, t(0), t(20), 0.75)
             .fail_cooling(SiteSelector::All, t(10), t(40), 0.9)
             .fail_ahus(0, 1, 2, t(10), t(40))
             .build()
             .expect("valid");
-        let timeline = scenario.resolve(
-            0,
-            SimTime::from_hours(1),
-            SimDuration::from_minutes(5),
-            1,
-            &legacy,
-        );
+        let timeline =
+            scenario.resolve(0, SimTime::from_hours(1), SimDuration::from_minutes(5), 1);
         assert_eq!(timeline.failures().windows().len(), 3);
         let state = timeline.failures().state_at(t(15));
         assert!((state.global_cooling_fraction - 0.9).abs() < 1e-12);
         assert_eq!(state.failed_upses().len(), 1);
         assert_eq!(state.failed_ahus().len(), 1);
-        // Scenario-only failures end on schedule; the legacy window has already closed.
+        // Each window ends on its own schedule: the UPS window has already closed.
         assert!(timeline.failures().state_at(t(25)).failed_upses().is_empty());
     }
 
@@ -1376,13 +1362,8 @@ mod tests {
             .grid_price(SiteSelector::All, t(30), t(45), 200.0)
             .build()
             .expect("valid");
-        let timeline = scenario.resolve(
-            0,
-            SimTime::from_minutes(30),
-            SimDuration::from_minutes(15),
-            1,
-            &FailureSchedule::none(),
-        );
+        let timeline =
+            scenario.resolve(0, SimTime::from_minutes(30), SimDuration::from_minutes(15), 1);
         // 1 MWh-equivalent pricing: (1000 kW × 0.25 h × $100 + same + 2000 × 0.25 × $200) / 1000.
         let cost = energy_cost_usd(&report, &timeline);
         assert!((cost - (25.0 + 25.0 + 100.0)).abs() < 1e-9, "cost {cost}");

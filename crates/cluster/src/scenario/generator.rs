@@ -428,7 +428,6 @@ mod tests {
             SimTime::from_days(2),
             simkit::time::SimDuration::from_minutes(10),
             4,
-            &dc_sim::failures::FailureSchedule::none(),
         );
         assert!(timeline.power_caps().iter().all(|&f| f > 0.0 && f <= 1.0));
         assert!(timeline.grid_prices().iter().all(|&p| p.is_finite() && p >= 0.0));

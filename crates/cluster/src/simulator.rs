@@ -1014,8 +1014,8 @@ impl ClusterSimulator {
 
         self.fill_activity(now);
         self.step_input.outside_temp = outside;
-        // The resolved timeline's schedule merges the legacy config windows with the
-        // scenario's failure events; the step's power cap rides along the same way
+        // The resolved timeline's schedule holds the scenario's failure events; the
+        // step's power cap rides along the same way
         // (1.0 outside cap windows keeps the engine's uncapped path untouched).
         self.timeline.failures().state_into(now, &mut self.step_input.failures);
         self.step_input.power_cap = self.timeline.power_cap_at(now);
@@ -1172,9 +1172,12 @@ mod tests {
 
     #[test]
     fn failure_schedule_is_honoured() {
-        let mut config = ExperimentConfig::small_smoke_test();
-        config.failures = dc_sim::failures::FailureSchedule::none()
-            .with_power_emergency(SimTime::from_minutes(30), SimTime::from_minutes(90));
+        let config = ExperimentConfig::small_smoke_test().with_scenario(
+            crate::scenario::Scenario::power_emergency(
+                SimTime::from_minutes(30),
+                SimTime::from_minutes(90),
+            ),
+        );
         let report = ClusterSimulator::new(config).run();
         // During the emergency the reduced capacity should trigger capping on a loaded
         // cluster, or at least be recorded as events if load is high enough; the run must in
@@ -1296,26 +1299,29 @@ mod tests {
         assert!(report.requests_served > 0);
     }
 
+    /// The scenario emergency presets resolve to exactly the windows of the datacenter
+    /// crate's `FailureSchedule` presets, and the step loop reads failures only from the
+    /// resolved schedule — so a run under either shape is the same run.
     #[test]
     fn scenario_failures_behave_exactly_like_the_legacy_schedule() {
         use crate::scenario::Scenario;
+        use dc_sim::failures::FailureSchedule;
         let start = SimTime::from_minutes(30);
         let end = SimTime::from_minutes(90);
-        let legacy = ClusterSimulator::new(
-            ExperimentConfig::small_smoke_test().with_failures(
-                dc_sim::failures::FailureSchedule::none().with_power_emergency(start, end),
-            ),
-        )
-        .run();
-        let scenario = ClusterSimulator::new(
+        let resolved = |scenario: Scenario| {
             ExperimentConfig::small_smoke_test()
-                .with_scenario(Scenario::power_emergency(start, end)),
-        )
-        .run();
+                .with_scenario(scenario)
+                .resolved_timeline()
+                .failures()
+                .clone()
+        };
         assert_eq!(
-            serde_json::to_string(&legacy).expect("serialize"),
-            serde_json::to_string(&scenario).expect("serialize"),
-            "a scenario failure event must reproduce the legacy schedule bit for bit"
+            resolved(Scenario::power_emergency(start, end)),
+            FailureSchedule::none().with_power_emergency(start, end)
+        );
+        assert_eq!(
+            resolved(Scenario::thermal_emergency(start, end)),
+            FailureSchedule::none().with_thermal_emergency(start, end)
         );
     }
 

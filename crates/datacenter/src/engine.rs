@@ -21,7 +21,7 @@ use crate::cooling::gpu::{GpuThermalCoefficients, GpuThermalModel, TempGrid};
 use crate::cooling::inlet::{InletCurve, InletModel};
 use crate::failures::FailureState;
 use crate::ids::{AisleId, GpuId, RowId, ServerId};
-use crate::index::{is_contiguous_run, OrdinalMap, TopologyIndex};
+use crate::index::{check_gpu_offsets, is_contiguous_run, OrdinalMap, TopologyIndex};
 use crate::power::hierarchy::{CapacityState, PowerAssessment, PowerHierarchy};
 use crate::power::server::{ServerPowerModel, ServerPowerTerms};
 use crate::topology::{Layout, ServerSpec};
@@ -39,64 +39,19 @@ use std::sync::Arc;
 pub const WIDE_KERNELS: bool =
     cfg!(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"));
 
-/// Activity of one server during a step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServerActivity {
-    /// Per-GPU utilization in `[0, 1]`.
-    pub gpu_utilization: Vec<f64>,
-    /// Per-GPU frequency scale in `(0, 1]` (1.0 = nominal clocks).
-    pub frequency_scale: Vec<f64>,
-    /// Memory-boundedness of the work in `[0, 1]` (0 = prefill-like, 1 = decode-like).
-    pub memory_boundedness: f64,
-}
-
-impl ServerActivity {
-    /// An idle server with the given GPU count.
-    #[must_use]
-    pub fn idle(gpu_count: usize) -> Self {
-        Self {
-            gpu_utilization: vec![0.0; gpu_count],
-            frequency_scale: vec![1.0; gpu_count],
-            memory_boundedness: 0.0,
-        }
-    }
-
-    /// A server with every GPU at the same utilization and nominal frequency.
-    #[must_use]
-    pub fn uniform(gpu_count: usize, utilization: f64) -> Self {
-        Self {
-            gpu_utilization: vec![utilization.clamp(0.0, 1.0); gpu_count],
-            frequency_scale: vec![1.0; gpu_count],
-            memory_boundedness: 0.5,
-        }
-    }
-
-    /// Mean GPU utilization of the server.
-    #[must_use]
-    pub fn mean_utilization(&self) -> f64 {
-        if self.gpu_utilization.is_empty() {
-            0.0
-        } else {
-            self.gpu_utilization.iter().sum::<f64>() / self.gpu_utilization.len() as f64
-        }
-    }
-}
-
 /// Structure-of-arrays per-GPU activity of the whole datacenter: the step input the
 /// row-batched kernels stream directly.
 ///
-/// Instead of one heap-allocated [`ServerActivity`] per server (two pointer-chased
-/// `Vec<f64>` payloads each — the last array-of-structs on the hot path), the planes
-/// store every GPU's utilization and frequency scale in two flat server-major vectors
-/// windowed by the same GPU prefix sums a [`TopologyIndex`] freezes
+/// The planes store every GPU's utilization and frequency scale in two flat
+/// server-major vectors windowed by the same GPU prefix sums a [`TopologyIndex`] freezes
 /// ([`TopologyIndex::gpu_offsets`]), plus one per-server memory-boundedness vector.
 /// Row kernels slice contiguous windows out of the planes with no per-server indirection,
-/// and building an idle cluster costs four allocations total instead of two per server.
+/// and building an idle cluster costs four allocations total.
 ///
-/// The serialized encoding is exactly the legacy `Vec<ServerActivity>` sequence-of-maps
-/// form (see the hand-written serde impls), so golden artifacts and digests that captured
-/// the old shape remain byte-identical.
-#[derive(Debug, Clone, PartialEq)]
+/// The serialized encoding is the derived field shape (the four planes by name).
+/// Deserialization rejects planes whose `offsets` do not start at 0, decrease, or
+/// disagree with the plane lengths, so every decoded value is safe to window.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ActivityPlanes {
     /// Flat server-major per-GPU utilization in `[0, 1]`, windowed by `offsets`.
     gpu_utilization: Vec<f64>,
@@ -147,8 +102,8 @@ impl ActivityPlanes {
         }
     }
 
-    /// Planes with every GPU at the same utilization and nominal frequency (the
-    /// [`ServerActivity::uniform`] shape, datacenter-wide).
+    /// Planes with every GPU at the same utilization and nominal frequency, and
+    /// memory-boundedness 0.5 on every server.
     #[must_use]
     pub fn uniform_for(layout: &Layout, utilization: f64) -> Self {
         let offsets = Self::offsets_for(layout);
@@ -159,39 +114,6 @@ impl ActivityPlanes {
             memory_boundedness: vec![0.5; layout.server_count()],
             offsets,
         }
-    }
-
-    /// Compat constructor from the legacy per-server shape. The planes' offsets are
-    /// derived from each entry's GPU count, so a shape that disagrees with the layout is
-    /// still representable (and rejected by the engine's validation, exactly as before).
-    ///
-    /// # Panics
-    /// Panics if a server's utilization and frequency vectors have different lengths —
-    /// that shape has no plane representation.
-    #[must_use]
-    pub fn from_servers(servers: &[ServerActivity]) -> Self {
-        let mut offsets = Vec::with_capacity(servers.len() + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for activity in servers {
-            assert_eq!(
-                activity.frequency_scale.len(),
-                activity.gpu_utilization.len(),
-                "activity frequency count must match the activity GPU count"
-            );
-            total += u32::try_from(activity.gpu_utilization.len())
-                .expect("per-server GPU count fits in u32");
-            offsets.push(total);
-        }
-        let mut gpu_utilization = Vec::with_capacity(total as usize);
-        let mut frequency_scale = Vec::with_capacity(total as usize);
-        let mut memory_boundedness = Vec::with_capacity(servers.len());
-        for activity in servers {
-            gpu_utilization.extend_from_slice(&activity.gpu_utilization);
-            frequency_scale.extend_from_slice(&activity.frequency_scale);
-            memory_boundedness.push(activity.memory_boundedness);
-        }
-        Self { gpu_utilization, frequency_scale, memory_boundedness, offsets }
     }
 
     fn offsets_for(layout: &Layout) -> Vec<u32> {
@@ -269,7 +191,7 @@ impl ActivityPlanes {
         *a.memory_boundedness = 0.0;
     }
 
-    /// Sets one server to the [`ServerActivity::uniform`] shape (allocation-free).
+    /// Sets one server to the [`Self::uniform_for`] shape (allocation-free).
     ///
     /// # Panics
     /// Panics if the server ordinal is out of range.
@@ -281,29 +203,20 @@ impl ActivityPlanes {
     }
 }
 
-// The serialized form is the legacy `Vec<ServerActivity>` encoding — a sequence of
-// per-server `{gpu_utilization, frequency_scale, memory_boundedness}` maps — written out
-// by hand (the vendored derive cannot express the planes-to-sequence projection). Golden
-// artifacts and digests captured before the SoA conversion stay byte-identical.
-impl Serialize for ActivityPlanes {
-    fn to_value(&self) -> serde::Value {
-        let mut servers = Vec::with_capacity(self.server_count());
-        for i in 0..self.server_count() {
-            let s = self.server(i);
-            servers.push(serde::Value::Map(vec![
-                (String::from("gpu_utilization"), s.gpu_utilization.to_value()),
-                (String::from("frequency_scale"), s.frequency_scale.to_value()),
-                (String::from("memory_boundedness"), serde::Value::F64(s.memory_boundedness)),
-            ]));
-        }
-        serde::Value::Seq(servers)
-    }
-}
-
 impl Deserialize for ActivityPlanes {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let servers = Vec::<ServerActivity>::from_value(value)?;
-        Ok(Self::from_servers(&servers))
+        let planes = Self {
+            gpu_utilization: Deserialize::from_value(value.get("gpu_utilization")?)?,
+            frequency_scale: Deserialize::from_value(value.get("frequency_scale")?)?,
+            memory_boundedness: Deserialize::from_value(value.get("memory_boundedness")?)?,
+            offsets: Deserialize::from_value(value.get("offsets")?)?,
+        };
+        check_gpu_offsets(
+            &planes.offsets,
+            &[planes.gpu_utilization.len(), planes.frequency_scale.len()],
+            &[planes.memory_boundedness.len()],
+        )?;
+        Ok(planes)
     }
 }
 
@@ -1771,25 +1684,14 @@ mod tests {
         assert!(gpu_spread > 1.0);
     }
 
-    /// The legacy per-server shape with one entry removed, rebuilt through the compat
-    /// constructor (planes derive their offsets from the entries, so malformed shapes
-    /// stay representable and the engine's validation still fires).
-    fn legacy_activity(dc: &Datacenter) -> Vec<ServerActivity> {
-        dc.layout()
-            .servers()
-            .iter()
-            .map(|s| ServerActivity::idle(s.spec.gpus_per_server))
-            .collect()
-    }
-
     #[test]
     #[should_panic(expected = "activity must cover every server")]
     fn mismatched_activity_length_panics() {
         let dc = datacenter();
-        let mut servers = legacy_activity(&dc);
-        servers.pop();
+        let smaller =
+            LayoutConfig { servers_per_rack: 3, ..LayoutConfig::real_cluster_two_rows() }.build();
         let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
-        input.activity = ActivityPlanes::from_servers(&servers);
+        input.activity = ActivityPlanes::idle_for(&smaller);
         let _ = dc.evaluate(&input);
     }
 
@@ -1797,56 +1699,82 @@ mod tests {
     #[should_panic(expected = "match the server spec")]
     fn mismatched_gpu_count_panics() {
         let dc = datacenter();
-        let mut servers = legacy_activity(&dc);
-        servers[0].gpu_utilization.pop();
-        servers[0].frequency_scale.pop();
+        let ragged = dc.layout().clone().map_server_specs(|server| ServerSpec {
+            gpus_per_server: if server.id.index() == 0 { 7 } else { server.spec.gpus_per_server },
+            ..server.spec
+        });
         let mut input = StepInput::idle(dc.layout(), Celsius::new(20.0));
-        input.activity = ActivityPlanes::from_servers(&servers);
+        input.activity = ActivityPlanes::idle_for(&ragged);
         let _ = dc.evaluate(&input);
     }
 
-    #[test]
-    #[should_panic(expected = "activity frequency count must match")]
-    fn ragged_legacy_activity_is_unrepresentable() {
-        let mut servers = vec![ServerActivity::idle(8)];
-        servers[0].frequency_scale.pop();
-        let _ = ActivityPlanes::from_servers(&servers);
+    /// Serializes `input` with one of its activity planes edited at the value level.
+    fn with_edited_plane(
+        input: &StepInput,
+        plane: &str,
+        edit: impl FnOnce(&mut Vec<serde::Value>),
+    ) -> String {
+        let mut value = input.to_value();
+        let serde::Value::Map(fields) = &mut value else { panic!("step input is a map") };
+        let (_, activity) = fields.iter_mut().find(|(k, _)| k == "activity").expect("activity");
+        let serde::Value::Map(planes) = activity else { panic!("activity is a map") };
+        let (_, serde::Value::Seq(items)) =
+            planes.iter_mut().find(|(k, _)| k == plane).expect("plane")
+        else {
+            panic!("plane is a sequence")
+        };
+        edit(items);
+        serde_json::to_string(&value).expect("serialize edited input")
     }
 
-    /// The planes' hand-written serde must reproduce the legacy `Vec<ServerActivity>`
-    /// byte encoding exactly — golden artifacts that captured step inputs before the SoA
-    /// conversion depend on it — and round-trip losslessly.
+    /// Malformed telemetry is a typed error at the boundary, never a later panic.
     #[test]
-    fn activity_planes_serde_matches_legacy_encoding() {
+    fn malformed_activity_planes_fail_to_deserialize() {
+        let dc = datacenter();
+        let input = StepInput::uniform_load(dc.layout(), Celsius::new(25.0), 0.7);
+        let one = serde::Value::U64(1);
+        let cases = [
+            // Ragged: one server's frequency window shorter than its utilization window.
+            with_edited_plane(&input, "frequency_scale", |p| {
+                p.pop();
+            }),
+            // Short per-server plane.
+            with_edited_plane(&input, "memory_boundedness", |p| {
+                p.pop();
+            }),
+            // Non-monotone offsets.
+            with_edited_plane(&input, "offsets", |p| p.swap(1, 2)),
+            // Offsets claim more GPUs than the planes hold.
+            with_edited_plane(&input, "offsets", |p| p.push(serde::Value::U64(10_000))),
+            // Offsets that do not start at 0, and no offsets at all.
+            with_edited_plane(&input, "offsets", |p| p[0] = one.clone()),
+            with_edited_plane(&input, "offsets", Vec::clear),
+        ];
+        for json in cases {
+            assert!(serde_json::from_str::<StepInput>(&json).is_err(), "accepted {json:.200}");
+        }
+        let valid = serde_json::to_string(&input).expect("serialize");
+        assert_eq!(serde_json::from_str::<StepInput>(&valid).expect("valid input"), input);
+    }
+
+    /// The planes serialize as their derived field shape and round-trip losslessly.
+    #[test]
+    fn activity_planes_serde_round_trips_the_derived_shape() {
         let dc = datacenter();
         let mut input = StepInput::uniform_load(dc.layout(), Celsius::new(25.0), 0.7);
         let mid = input.activity.server_mut(3);
         mid.gpu_utilization[1] = 0.123;
         mid.frequency_scale[5] = 0.88;
         *mid.memory_boundedness = 0.9;
-        let legacy: Vec<ServerActivity> = (0..input.activity.server_count())
-            .map(|i| {
-                let s = input.activity.server(i);
-                ServerActivity {
-                    gpu_utilization: s.gpu_utilization.to_vec(),
-                    frequency_scale: s.frequency_scale.to_vec(),
-                    memory_boundedness: s.memory_boundedness,
-                }
-            })
-            .collect();
-        let planes_json =
-            serde_json::to_string(&input.activity).expect("serialize planes");
-        let legacy_json = serde_json::to_string(&legacy).expect("serialize legacy");
-        assert_eq!(planes_json, legacy_json, "planes must keep the legacy encoding");
-
-        let restored = ActivityPlanes::from_value(&input.activity.to_value())
-            .expect("planes deserialize");
+        let json = serde_json::to_string(&input.activity).expect("serialize planes");
+        assert!(json.starts_with("{\"gpu_utilization\":[0.7,"), "{json:.80}");
+        assert!(json.ends_with(",632,640]}"), "offsets close the encoding");
+        let restored: ActivityPlanes = serde_json::from_str(&json).expect("planes deserialize");
         assert_eq!(restored, input.activity);
-        assert_eq!(ActivityPlanes::from_servers(&legacy), input.activity);
     }
 
-    /// Per-server views and the allocation-free fill helpers agree with the legacy
-    /// constructors.
+    /// Per-server views and the allocation-free fill helpers agree with the idle and
+    /// uniform plane constructors.
     #[test]
     fn planes_views_match_legacy_constructors() {
         let dc = datacenter();
@@ -1854,16 +1782,16 @@ mod tests {
         assert_eq!(planes.server_count(), 80);
         assert_eq!(planes.gpu_count(), 640);
         assert_eq!(planes.offsets(), dc.topology().gpu_offsets());
-        let idle = ServerActivity::idle(8);
         let s0 = planes.server(0);
-        assert_eq!(s0.gpu_utilization, &idle.gpu_utilization[..]);
-        assert_eq!(s0.frequency_scale, &idle.frequency_scale[..]);
-        assert_eq!(s0.memory_boundedness, idle.memory_boundedness);
+        assert_eq!(s0.gpu_utilization, &[0.0; 8]);
+        assert_eq!(s0.frequency_scale, &[1.0; 8]);
+        assert_eq!(s0.memory_boundedness, 0.0);
         planes.set_uniform(2, 1.7);
-        let expected = ServerActivity::uniform(8, 1.7);
+        let uniform = ActivityPlanes::uniform_for(dc.layout(), 1.7);
         let s2 = planes.server(2);
-        assert_eq!(s2.gpu_utilization, &expected.gpu_utilization[..]);
-        assert_eq!(s2.memory_boundedness, expected.memory_boundedness);
+        assert_eq!(s2.gpu_utilization, &[1.0; 8]);
+        assert_eq!(s2.gpu_utilization, uniform.server(2).gpu_utilization);
+        assert_eq!(s2.memory_boundedness, uniform.server(2).memory_boundedness);
         planes.set_idle(2);
         assert_eq!(planes, ActivityPlanes::idle_for(dc.layout()));
     }

@@ -203,6 +203,36 @@ pub fn is_contiguous_run<K: TopologyOrdinal>(ids: &[K]) -> bool {
     ids.windows(2).all(|w| w[1].ordinal() == w[0].ordinal() + 1)
 }
 
+/// Validates the shape of a deserialized server-major plane set: `offsets` must start at
+/// 0 and never decrease, every per-GPU plane must hold exactly `offsets.last()` entries
+/// and every per-server plane exactly `offsets.len() - 1`.
+///
+/// # Errors
+/// Returns the first violation as a [`serde::Error`].
+pub(crate) fn check_gpu_offsets(
+    offsets: &[u32],
+    gpu_planes: &[usize],
+    server_planes: &[usize],
+) -> Result<(), Error> {
+    if offsets.first() != Some(&0) {
+        return Err(Error::new("`offsets` must start at 0"));
+    }
+    if offsets.windows(2).any(|w| w[1] < w[0]) {
+        return Err(Error::new("`offsets` must not decrease"));
+    }
+    let gpus = offsets[offsets.len() - 1] as usize;
+    let servers = offsets.len() - 1;
+    if gpu_planes.iter().any(|&len| len != gpus) {
+        return Err(Error::new(format!("a per-GPU plane disagrees with `offsets` ({gpus} GPUs)")));
+    }
+    if server_planes.iter().any(|&len| len != servers) {
+        return Err(Error::new(format!(
+            "a per-server plane disagrees with `offsets` ({servers} servers)"
+        )));
+    }
+    Ok(())
+}
+
 /// Frozen ordinal geometry of one datacenter, built once from its [`Layout`].
 ///
 /// Holds the entity counts and the stride tables (server-major GPU offsets, contiguous

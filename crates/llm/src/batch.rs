@@ -105,7 +105,7 @@ struct Active {
 
 /// Fault-tolerance counters a scheduler accumulates over its lifetime: preemption and
 /// eviction volume (wasted work), retry/timeout outcomes and shed requests. All zero in
-/// a failure-free run, which keeps failure-free artifacts byte-identical.
+/// a failure-free run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerFaults {
     /// Sequences evicted mid-flight (a request preempted twice counts twice).

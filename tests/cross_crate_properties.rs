@@ -12,6 +12,7 @@ use dc_sim::engine::StepInput;
 use dc_sim::failures::FailureState;
 use dc_sim::ids::ServerId;
 use dc_sim::topology::LayoutConfig;
+use serde::Value;
 use llm_sim::config::{FrequencyScale, TensorParallelism};
 use llm_sim::model::{ModelSize, ModelVariant, Quantization};
 use llm_sim::perf::PerfModel;
@@ -350,3 +351,111 @@ fn arrival_stream_fits_the_cluster() {
     assert!(placed >= 6, "at least the initial population fits");
     assert!(state.placed_count() <= layout.server_count());
 }
+
+/// One seeded mutation of a JSON artifact: ASCII bit flips, a truncation, or a
+/// value-level edit (drop a key, swap a number for a string, pop a sequence element).
+fn mutate(rng: &mut SimRng, json: &str) -> String {
+    match rng.uniform_usize(0, 3) {
+        0 => {
+            let mut bytes = json.as_bytes().to_vec();
+            for _ in 0..rng.uniform_usize(1, 5) {
+                let at = rng.uniform_usize(0, bytes.len());
+                // Flipping one of the low seven bits keeps an ASCII byte ASCII, and
+                // multi-byte characters are left alone, so the input stays UTF-8.
+                if bytes[at].is_ascii() {
+                    bytes[at] ^= 1 << rng.uniform_usize(0, 7);
+                }
+            }
+            String::from_utf8(bytes).expect("ASCII flips keep the input UTF-8")
+        }
+        1 => {
+            let mut cut = rng.uniform_usize(0, json.len());
+            while !json.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            json[..cut].to_string()
+        }
+        _ => {
+            let mut value: Value = serde_json::from_str(json).expect("artifact parses");
+            let kind = rng.uniform_usize(0, 3);
+            for _ in 0..64 {
+                if edit_value(rng, &mut value, kind) {
+                    break;
+                }
+            }
+            serde_json::to_string(&value).expect("edited value serializes")
+        }
+    }
+}
+
+/// Applies one edit of `kind` at a random depth; `false` when the chosen path offered
+/// no node the edit applies to.
+fn edit_value(rng: &mut SimRng, value: &mut Value, kind: usize) -> bool {
+    let children = match value {
+        Value::Map(entries) => entries.len(),
+        Value::Seq(items) => items.len(),
+        _ => 0,
+    };
+    if children > 0 && rng.chance(0.8) {
+        let child = rng.uniform_usize(0, children);
+        let child = match value {
+            Value::Map(entries) => &mut entries[child].1,
+            Value::Seq(items) => &mut items[child],
+            _ => unreachable!("only containers have children"),
+        };
+        if edit_value(rng, child, kind) {
+            return true;
+        }
+    }
+    match (kind, value) {
+        (0, Value::Map(entries)) if !entries.is_empty() => {
+            entries.remove(rng.uniform_usize(0, entries.len()));
+            true
+        }
+        (1, number @ (Value::U64(_) | Value::I64(_) | Value::F64(_))) => {
+            *number = Value::Str("7".to_string());
+            true
+        }
+        (2, Value::Seq(items)) if !items.is_empty() => {
+            items.pop();
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Seeded mutation testing of the JSON input boundary: a mutated fleet config, step
+/// input or step outcome either deserializes or returns an error — it never panics —
+/// and a fleet config that loads validates without panicking.
+#[test]
+fn mutated_artifacts_load_or_error_without_panicking() {
+    let dc = small_datacenter();
+    let input = StepInput::uniform_load(dc.layout(), Celsius::new(30.0), 0.8);
+    let outcome = dc.evaluate(&input);
+    let artifacts = [
+        include_str!("golden/scenario_fleet.json").trim_end().to_string(),
+        serde_json::to_string(&input).expect("serialize input"),
+        serde_json::to_string(&outcome).expect("serialize outcome"),
+    ];
+    let mut rng = SimRng::seed_from(108).derive("mutation-rounds");
+    let mut loaded = 0;
+    for round in 0..500 {
+        let artifact = round % artifacts.len();
+        let mutated = mutate(&mut rng, &artifacts[artifact]);
+        let result = std::panic::catch_unwind(|| match artifact {
+            0 => serde_json::from_str::<FleetConfig>(&mutated).map(|fleet| {
+                let _ = fleet.check();
+            }),
+            1 => serde_json::from_str::<StepInput>(&mutated).map(drop),
+            _ => serde_json::from_str::<dc_sim::engine::StepOutcome>(&mutated).map(drop),
+        });
+        match result {
+            Ok(Ok(())) => loaded += 1,
+            Ok(Err(_)) => {}
+            Err(_) => panic!("round {round}: panicked on {:.300}", mutated),
+        }
+    }
+    // Some mutations (a flipped digit, say) stay loadable; most must be rejected.
+    assert!(loaded > 0 && loaded < 500, "loaded {loaded} of 500 mutations");
+}
+

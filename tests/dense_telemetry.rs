@@ -6,7 +6,7 @@
 //! [`simkit::rng::SimRng`] stream, so every case is deterministic and reproducible from
 //! the printed case number.
 
-use dc_sim::engine::{Datacenter, ServerActivity, StepInput};
+use dc_sim::engine::{Datacenter, StepInput};
 use dc_sim::ids::{GpuId, PduId, RowId, ServerId, UpsId};
 use dc_sim::power::hierarchy::{CapacityState, PowerHierarchy};
 use dc_sim::topology::{Layout, LayoutConfig, ServerSpec};
@@ -191,21 +191,16 @@ fn temp_grid_and_aisle_grid_match_reference_models() {
         let dc = Datacenter::new(layout, rng.next_u64());
         let outside = Celsius::new(rng.uniform(-5.0, 45.0));
         let mut input = StepInput::idle(dc.layout(), outside);
-        let servers: Vec<ServerActivity> = dc
-            .layout()
-            .servers()
-            .iter()
-            .map(|server| ServerActivity {
-                gpu_utilization: (0..server.spec.gpus_per_server)
-                    .map(|_| rng.uniform(0.0, 1.0))
-                    .collect(),
-                frequency_scale: (0..server.spec.gpus_per_server)
-                    .map(|_| rng.uniform(0.5, 1.0))
-                    .collect(),
-                memory_boundedness: rng.uniform(0.0, 1.0),
-            })
-            .collect();
-        input.activity = dc_sim::engine::ActivityPlanes::from_servers(&servers);
+        for server in dc.layout().servers() {
+            let activity = input.activity.server_mut(server.id.index());
+            for utilization in activity.gpu_utilization.iter_mut() {
+                *utilization = rng.uniform(0.0, 1.0);
+            }
+            for scale in activity.frequency_scale.iter_mut() {
+                *scale = rng.uniform(0.5, 1.0);
+            }
+            *activity.memory_boundedness = rng.uniform(0.0, 1.0);
+        }
         let outcome = dc.evaluate(&input);
 
         // Reference: the jagged pre-refactor shape, rebuilt from first-principles model

@@ -58,10 +58,10 @@ fn ablation_ordering_holds_on_the_medium_cluster() {
 #[test]
 fn power_emergency_is_survivable() {
     for policy in [Policy::Baseline, Policy::Tapas] {
-        let mut config = ExperimentConfig::medium(policy);
-        config.duration = SimTime::from_hours(8);
-        config.failures = FailureSchedule::none()
-            .with_power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        let emergency = Scenario::power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
+        let config = ExperimentConfig::medium(policy)
+            .with_duration(SimTime::from_hours(8))
+            .with_scenario(emergency);
         let report = ClusterSimulator::new(config).run();
         assert_eq!(report.max_gpu_temp.len(), 8 * 6 + 1);
         assert!(report.peak_temperature_c() < 120.0, "temperatures must stay physical");

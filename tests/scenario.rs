@@ -1,6 +1,5 @@
 //! Scenario-layer integration tests: golden-file serde round-trips for a fully loaded
-//! 3-site fleet scenario, and backward-compatible deserialization of pre-scenario
-//! experiment artifacts.
+//! 3-site fleet scenario, and per-site resolution of its timeline.
 //!
 //! Regenerate the golden file after an intentional format change with:
 //! `UPDATE_GOLDEN=1 cargo test --test scenario`.
@@ -9,7 +8,6 @@ use tapas_repro::prelude::*;
 use tapas_repro::workload::endpoints::EndpointId;
 
 const GOLDEN_FLEET: &str = include_str!("golden/scenario_fleet.json");
-const PRE_SCENARIO_EXPERIMENT: &str = include_str!("golden/pre_scenario_experiment.json");
 
 /// The golden 3-site fleet: a heatwave on the hot site, a grid-price curve (base price,
 /// a spike at site 1 and a cheap overnight window), a UPS failure at site 2 and demand
@@ -76,26 +74,4 @@ fn golden_fleet_scenario_resolves_per_site() {
     assert_eq!(fleet.site_timeline(2).temp_offset_at(SimTime::from_days(3)), 8.0);
     assert_eq!(fleet.site_timeline(0).temp_offset_at(SimTime::from_days(1)), 5.5);
     assert_eq!(fleet.site_timeline(1).temp_offset_at(SimTime::from_days(1)), 0.0);
-}
-
-#[test]
-fn pre_scenario_experiment_artifact_still_deserializes() {
-    assert!(
-        !PRE_SCENARIO_EXPERIMENT.contains("\"scenario\""),
-        "the artifact must predate the scenario field"
-    );
-    let config: ExperimentConfig =
-        serde_json::from_str(PRE_SCENARIO_EXPERIMENT).expect("pre-scenario artifact loads");
-    // The artifact was serialized (by the pre-scenario code) from this exact preset.
-    let mut expected = ExperimentConfig::production_week(Policy::PlaceRoute);
-    expected.failures = FailureSchedule::none()
-        .with_power_emergency(SimTime::from_hours(3), SimTime::from_hours(5));
-    assert_eq!(config, expected);
-    // The missing field defaults to the empty scenario: resolved behaviour is legacy.
-    assert!(config.scenario.is_empty());
-    let report = ClusterSimulator::new(
-        config.with_duration(SimTime::from_hours(1)).with_step(SimDuration::from_minutes(10)),
-    )
-    .run();
-    assert!(report.requests_served > 0);
 }

@@ -12,7 +12,7 @@
 //! out-of-range utilization exercising the clamps), DVFS'd frequencies, and failure
 //! states that trigger recirculation penalties and power capping.
 
-use dc_sim::engine::{ActivityPlanes, Datacenter, ServerActivity, StepInput, StepWorkspace};
+use dc_sim::engine::{Datacenter, StepInput, StepWorkspace};
 use dc_sim::failures::FailureSchedule;
 use dc_sim::kernel_reference::evaluate_scalar;
 use dc_sim::topology::{Layout, LayoutConfig, ServerSpec};
@@ -67,24 +67,17 @@ fn random_layout(rng: &mut SimRng) -> Layout {
 
 fn random_input(rng: &mut SimRng, dc: &Datacenter, outside: Celsius) -> StepInput {
     let mut input = StepInput::idle(dc.layout(), outside);
-    // Built through the legacy per-server shape and the compat constructor, so every case
-    // also pins `ActivityPlanes::from_servers` against the in-place plane writers below.
-    let servers: Vec<ServerActivity> = dc
-        .layout()
-        .servers()
-        .iter()
-        .map(|server| ServerActivity {
-            // Occasionally out of range, so the kernel clamps are pinned too.
-            gpu_utilization: (0..server.spec.gpus_per_server)
-                .map(|_| rng.uniform(-0.1, 1.3))
-                .collect(),
-            frequency_scale: (0..server.spec.gpus_per_server)
-                .map(|_| rng.uniform(0.4, 1.0))
-                .collect(),
-            memory_boundedness: rng.uniform(0.0, 1.0),
-        })
-        .collect();
-    input.activity = ActivityPlanes::from_servers(&servers);
+    for server in dc.layout().servers() {
+        let activity = input.activity.server_mut(server.id.index());
+        // Occasionally out of range, so the kernel clamps are pinned too.
+        for utilization in activity.gpu_utilization.iter_mut() {
+            *utilization = rng.uniform(-0.1, 1.3);
+        }
+        for scale in activity.frequency_scale.iter_mut() {
+            *scale = rng.uniform(0.4, 1.0);
+        }
+        *activity.memory_boundedness = rng.uniform(0.0, 1.0);
+    }
     if rng.chance(0.3) {
         let schedule = if rng.chance(0.5) {
             FailureSchedule::none().with_thermal_emergency(SimTime::ZERO, SimTime::from_hours(2))
